@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench crash race model ingest par part fmt vet staticcheck trace-demo
+.PHONY: build test check bench perf perf-test crash race model ingest par part fmt vet staticcheck trace-demo
 
 build:
 	$(GO) build ./...
@@ -21,11 +21,14 @@ test:
 # The partitioned suite rides in both passes at its small default shape:
 # TestModelPart/TestModelPartCrash (15/8 seeds), the TestCrashPart2PC
 # two-phase-commit matrix, and the TestStressPartConcurrent2PC storm;
-# `make part` runs the same suite at soak depth.
+# `make part` runs the same suite at soak depth. perfbench/ is a nested
+# module that `./...` does not reach, so perf-test builds and tests it
+# against this tree.
 check: build vet staticcheck
 	$(GO) test -shuffle=on -cover ./...
 	$(GO) test -race -count=1 ./...
 	$(MAKE) par
+	$(MAKE) perf-test
 
 # staticcheck (honnef.co/go/tools) is part of the check gate — the tree
 # is clean under it, so it runs ungated. Install with:
@@ -94,6 +97,18 @@ par:
 
 bench:
 	$(GO) run ./cmd/dmxbench
+
+# perf runs the repo benchmark (perfbench/, declared in BENCHMARK.json):
+# one workload per run, oltp by default, e.g.
+#   make perf PERF_ARGS="--workload scan --seconds 10"
+# perf-test vets and tests the perfbench module, which imports the
+# engine's internal packages through `replace dmx => ../` (works offline).
+PERF_ARGS ?=
+perf:
+	bash perfbench/run.sh $(PERF_ARGS)
+
+perf-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -l .

@@ -31,8 +31,9 @@ import (
 	"dmx/internal/plan"
 	"dmx/internal/remote"
 	"dmx/internal/rig"
-	"dmx/internal/sm/partsm"
-	"dmx/internal/sm/remotesm"
+	_ "dmx/internal/sm/partsm"
+	_ "dmx/internal/sm/remotesm"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -221,8 +222,7 @@ func e2Join() []*rig.Table {
 		if err != nil {
 			panic(err)
 		}
-		callsBefore := env.Metrics.SMCalls.Load() + env.Metrics.AttCalls.Load() +
-			env.Metrics.Fetches.Load() + env.Metrics.Scans.Load()
+		callsBefore := dispatchCalls(env)
 		rows := 0
 		d := rig.Time(func() {
 			tx := env.Begin()
@@ -243,11 +243,17 @@ func e2Join() []*rig.Table {
 			rs.Close()
 			tx.Commit()
 		})
-		calls := env.Metrics.SMCalls.Load() + env.Metrics.AttCalls.Load() +
-			env.Metrics.Fetches.Load() + env.Metrics.Scans.Load() - callsBefore
+		calls := dispatchCalls(env) - callsBefore
 		t.Add(s.name, rows, calls, d, rig.PerOp(d, rows))
 	}
 	return []*rig.Table{t}
+}
+
+// dispatchCalls is the engine's total of extension calls so far: storage-
+// method and attached-procedure modifications, fetches, and scans opened.
+func dispatchCalls(env *core.Env) int64 {
+	t := env.MetricsSnapshot().Totals
+	return t.SMCalls + t.AttCalls + t.Fetches + t.Scans
 }
 
 // --- E3: bound plans ---
@@ -417,9 +423,9 @@ func e5Attachments() []*rig.Table {
 	env := core.NewEnv(core.Config{})
 	emp := rig.MustCreate(env, "emp", "memory", nil)
 	measure := func(label string, natt int) {
-		callsBefore := env.Metrics.AttCalls.Load()
+		callsBefore := env.MetricsSnapshot().Totals.AttCalls
 		d := rig.Time(func() { rig.Load(env, emp, inserts, 20) })
-		calls := env.Metrics.AttCalls.Load() - callsBefore
+		calls := env.MetricsSnapshot().Totals.AttCalls - callsBefore
 		t.Add(label, natt, rig.PerOp(d, inserts), float64(calls)/float64(inserts))
 		// Reset contents between measurements.
 		rig.WithTxn(env, func(tx *txn.Txn) {
@@ -600,7 +606,7 @@ func e7StorageMethods() []*rig.Table {
 		{"append (lsm)", "append", nil, nil},
 		{"remote (20µs RTT)", "remote", core.AttrList{"server": "fed"}, func(env *core.Env) {
 			fed = remote.NewServer(20 * time.Microsecond)
-			remotesm.AttachServer(env, "fed", fed)
+			smutil.AttachServer(env, "fed", fed)
 		}},
 	}
 	for _, c := range cases {
@@ -842,7 +848,7 @@ func e9Deferred() []*rig.Table {
 			"peer": "dept", "peerkey": "dno", "timing": timing,
 		})
 		emp, _ := env.OpenRelationByName("emp")
-		scansBefore := env.Metrics.Scans.Load()
+		scansBefore := env.MetricsSnapshot().Totals.Scans
 		d := rig.Time(func() {
 			rig.WithTxn(env, func(tx *txn.Txn) {
 				for i := 0; i < children; i++ {
@@ -852,7 +858,7 @@ func e9Deferred() []*rig.Table {
 				}
 			})
 		})
-		checks := env.Metrics.Scans.Load() - scansBefore
+		checks := env.MetricsSnapshot().Totals.Scans - scansBefore
 		t.Add(timing, children, checks, d, rig.PerOp(d, children))
 	}
 	return []*rig.Table{t}
@@ -1088,7 +1094,8 @@ func mtGroupCommit() []*rig.Table {
 // loop over an in-memory WAL (the adversarial case, where the atomic
 // increments are the largest possible fraction of the work). Each is
 // run with accounting enabled (the default) and disabled via
-// txn.SetAccounting.
+// txn.SetAccounting, which switches off the ledgers and the row counts
+// only: the dispatch histograms stay on in both runs.
 func selfObs() []*rig.Table {
 	t := rig.NewTable("SELFOBS — per-transaction resource accounting overhead",
 		"workload", "accounting", "commits", "total", "commits/s", "overhead")
@@ -1464,7 +1471,7 @@ func partRouting() []*rig.Table {
 	srvs := make([]*remote.Server, shards)
 	for i := range srvs {
 		srvs[i] = remote.NewServer(20 * time.Microsecond)
-		partsm.AttachServer(env, fmt.Sprintf("s%d", i), srvs[i])
+		smutil.AttachServer(env, fmt.Sprintf("s%d", i), srvs[i])
 	}
 	rel := rig.MustCreate(env, "emp", "part", core.AttrList{
 		"key": "eno", "servers": "s0,s1,s2,s3", "batch": "100"})
@@ -1622,7 +1629,7 @@ func a2RemoteBatch() []*rig.Table {
 	for _, batch := range []int{1, 10, 100, 1000} {
 		env := core.NewEnv(core.Config{})
 		fed := remote.NewServer(20 * time.Microsecond)
-		remotesm.AttachServer(env, "fed", fed)
+		smutil.AttachServer(env, "fed", fed)
 		rel := rig.MustCreate(env, "t", "remote",
 			core.AttrList{"server": "fed", "batch": fmt.Sprint(batch)})
 		rig.Load(env, rel, rows, 20)

@@ -44,8 +44,9 @@ import (
 	_ "dmx/internal/sm/btreesm"
 	_ "dmx/internal/sm/heap"
 	_ "dmx/internal/sm/memsm"
-	"dmx/internal/sm/partsm"
-	"dmx/internal/sm/remotesm"
+	_ "dmx/internal/sm/partsm"
+	_ "dmx/internal/sm/remotesm"
+	"dmx/internal/sm/smutil"
 	_ "dmx/internal/sm/syssm"
 	_ "dmx/internal/sm/tempsm"
 
@@ -322,13 +323,14 @@ func (db *DB) RegisterCheckPredicate(token string, e *Expr) {
 // AttachForeignServer makes a foreign database reachable from relations
 // created with USING remote WITH (server=<name>).
 func (db *DB) AttachForeignServer(name string, srv *ForeignServer) {
-	remotesm.AttachServer(db.Env, name, srv)
+	smutil.AttachServer(db.Env, name, srv)
 }
 
 // AttachShardServer makes a shard backend reachable from partitioned
-// relations created with USING part WITH (servers=<name>,...).
+// relations created with USING part WITH (servers=<name>,...). Shard and
+// foreign servers share one name space per database.
 func (db *DB) AttachShardServer(name string, srv *ForeignServer) {
-	partsm.AttachServer(db.Env, name, srv)
+	smutil.AttachServer(db.Env, name, srv)
 }
 
 // Authorization levels, re-exported.

@@ -25,9 +25,12 @@ const (
 )
 
 // traceInst demonstrates an attachment with associated storage: it keeps a
-// logged count of modifications so undo must restore the count.
+// logged count of modifications so undo must restore the count. Like any
+// attachment it serialises its own state: transactions on different keys
+// of one relation call it concurrently.
 type traceInst struct {
 	rd    *core.RelDesc
+	mu    sync.Mutex
 	calls []string
 	count int
 }
@@ -41,19 +44,25 @@ func (t *traceInst) log(tx *txn.Txn, delta int) error {
 }
 
 func (t *traceInst) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
+	t.mu.Lock()
 	t.calls = append(t.calls, "insert")
 	t.count++
+	t.mu.Unlock()
 	return t.log(tx, 1)
 }
 
 func (t *traceInst) OnUpdate(tx *txn.Txn, ok, nk types.Key, o, n types.Record) error {
+	t.mu.Lock()
 	t.calls = append(t.calls, "update")
+	t.mu.Unlock()
 	return nil
 }
 
 func (t *traceInst) OnDelete(tx *txn.Txn, key types.Key, old types.Record) error {
+	t.mu.Lock()
 	t.calls = append(t.calls, "delete")
 	t.count--
+	t.mu.Unlock()
 	return t.log(tx, -1)
 }
 
@@ -69,7 +78,9 @@ func (t *traceInst) ApplyLogged(payload []byte, undo bool) error {
 	if undo {
 		delta = -delta
 	}
+	t.mu.Lock()
 	t.count += delta
+	t.mu.Unlock()
 	return nil
 }
 
@@ -99,9 +110,18 @@ type instKey struct {
 	rel uint32
 }
 
-var traceInstances = map[instKey]*traceInst{}
+// traceInstances is guarded by traceMu: the engine may open an attachment
+// from several transactions at once (it keeps the first instance).
+var (
+	traceMu        sync.Mutex
+	traceInstances = map[instKey]*traceInst{}
+)
 
-func traceOf(env *core.Env, rel uint32) *traceInst { return traceInstances[instKey{env, rel}] }
+func traceOf(env *core.Env, rel uint32) *traceInst {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	return traceInstances[instKey{env, rel}]
+}
 
 func init() {
 	core.RegisterAttachment(&core.AttachmentOps{
@@ -111,6 +131,8 @@ func init() {
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
 			k := instKey{env, rd.RelID}
+			traceMu.Lock()
+			defer traceMu.Unlock()
 			if inst, ok := traceInstances[k]; ok {
 				return inst, nil
 			}
@@ -273,7 +295,7 @@ func TestVetoUndoesStorageAndPriorAttachments(t *testing.T) {
 	if r.Storage().RecordCount() != 2 {
 		t.Fatalf("final count = %d", r.Storage().RecordCount())
 	}
-	if env.Metrics.Vetoes.Load() != 1 {
+	if env.MetricsSnapshot().Totals.Vetoes != 1 {
 		t.Fatal("veto metric")
 	}
 }
@@ -589,8 +611,8 @@ func TestMetricsCountCalls(t *testing.T) {
 		r.Insert(tx, rec(int64(i), "x"))
 	}
 	tx.Commit()
-	if env.Metrics.SMCalls.Load() != 10 || env.Metrics.AttCalls.Load() != 10 {
-		t.Fatalf("metrics: sm=%d att=%d", env.Metrics.SMCalls.Load(), env.Metrics.AttCalls.Load())
+	if tot := env.MetricsSnapshot().Totals; tot.SMCalls != 10 || tot.AttCalls != 10 {
+		t.Fatalf("metrics: sm=%d att=%d", tot.SMCalls, tot.AttCalls)
 	}
 }
 
@@ -691,7 +713,7 @@ func TestMetricsSnapshotMixedWorkload(t *testing.T) {
 	if snap.WAL.Rollbacks == 0 {
 		t.Error("veto should have driven a log rollback")
 	}
-	if snap.Totals.SMCalls != env.Metrics.SMCalls.Load() || snap.Totals.Vetoes != 1 {
+	if snap.Totals.SMCalls != 8 || snap.Totals.Vetoes != 1 {
 		t.Errorf("totals mismatch: %+v", snap.Totals)
 	}
 

@@ -22,6 +22,16 @@ type debugServer struct {
 	ln  net.Listener
 }
 
+// stop shuts the server down. The listener is closed here as well: the
+// Serve goroutine may not have started yet, and until it does the server
+// does not know its listener, so srv.Close alone would leave the port
+// accepting connections.
+func (ds *debugServer) stop() error {
+	err := ds.srv.Close()
+	ds.ln.Close()
+	return err
+}
+
 // ServeDebug starts the debug HTTP server on addr (e.g. "127.0.0.1:7654";
 // ":0" picks a free port) and returns the bound address. Endpoints:
 //
@@ -56,7 +66,7 @@ func (env *Env) ServeDebug(addr string) (string, error) {
 	env.debug = ds
 	env.debugMu.Unlock()
 	if prev != nil {
-		prev.srv.Close()
+		prev.stop()
 	}
 	go ds.srv.Serve(ln)
 	return ln.Addr().String(), nil
@@ -73,7 +83,7 @@ func (env *Env) StopDebug() error {
 	if ds == nil {
 		return nil
 	}
-	return ds.srv.Close()
+	return ds.stop()
 }
 
 // DebugAddr returns the running debug server's bound address ("" when no

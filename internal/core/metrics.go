@@ -2,7 +2,7 @@ package core
 
 import "dmx/internal/obs"
 
-// MetricsSnapshot is the engine-wide observability snapshot: the obs
+// MetricsSnapshot is the engine-wide observability snapshot: the
 // per-extension dispatch vectors (resolved to registered extension names),
 // lock manager, recovery log, and buffer pool statistics, plus the legacy
 // coarse totals. It marshals to a single JSON document.
@@ -11,19 +11,30 @@ type MetricsSnapshot struct {
 	Totals TotalsSnapshot `json:"totals"`
 }
 
-// TotalsSnapshot mirrors the legacy Metrics counters.
+// TotalsSnapshot holds the legacy coarse counters, derived from the
+// dispatch vectors of the same snapshot.
 type TotalsSnapshot struct {
-	SMCalls  int64 `json:"sm_calls"`
-	AttCalls int64 `json:"att_calls"`
-	Fetches  int64 `json:"fetches"`
-	Scans    int64 `json:"scans"`
-	Vetoes   int64 `json:"vetoes"`
+	SMCalls  int64 `json:"sm_calls"`  // storage-method inserts, updates and deletes
+	AttCalls int64 `json:"att_calls"` // attached-procedure inserts, updates and deletes
+	Fetches  int64 `json:"fetches"`   // storage-method fetches and access-path lookups
+	Scans    int64 `json:"scans"`     // storage-method and access-path scans opened
+	Vetoes   int64 `json:"vetoes"`    // failed storage-method modifications and attachment vetoes
 }
 
 // MetricsSnapshot captures a consistent-enough point-in-time view of every
 // counter in the environment. Safe to call concurrently with traffic.
+// The storage-method vector is merged from the per-relation rollups by
+// storage-method identifier, and the totals are computed from the
+// snapshot's own vectors.
 func (env *Env) MetricsSnapshot() MetricsSnapshot {
+	var sm obs.Vector
+	for _, rs := range env.relStats.all() {
+		for op := range rs.Ops {
+			sm.Merge(int(rs.SM), obs.Op(op), &rs.Ops[op])
+		}
+	}
 	s := env.Obs.Snapshot()
+	s.SM = sm.Snapshot(nil)
 	for i := range s.SM {
 		if ops := env.Reg.StorageOps(SMID(s.SM[i].ID)); ops != nil {
 			s.SM[i].Name = ops.Name
@@ -34,14 +45,37 @@ func (env *Env) MetricsSnapshot() MetricsSnapshot {
 			s.Att[i].Name = ops.Name
 		}
 	}
-	return MetricsSnapshot{
-		Snapshot: s,
-		Totals: TotalsSnapshot{
-			SMCalls:  env.Metrics.SMCalls.Load(),
-			AttCalls: env.Metrics.AttCalls.Load(),
-			Fetches:  env.Metrics.Fetches.Load(),
-			Scans:    env.Metrics.Scans.Load(),
-			Vetoes:   env.Metrics.Vetoes.Load(),
-		},
+	return MetricsSnapshot{Snapshot: s, Totals: totals(s)}
+}
+
+// totals derives the legacy counters from a snapshot's dispatch vectors.
+func totals(s obs.Snapshot) TotalsSnapshot {
+	var t TotalsSnapshot
+	for _, e := range s.SM {
+		for _, o := range e.Ops {
+			switch o.Op {
+			case "insert", "update", "delete":
+				t.SMCalls += o.Count
+				t.Vetoes += o.Errors
+			case "fetch":
+				t.Fetches += o.Count
+			case "scan":
+				t.Scans += o.Count
+			}
+		}
 	}
+	for _, e := range s.Att {
+		t.Vetoes += e.Vetoes
+		for _, o := range e.Ops {
+			switch o.Op {
+			case "insert", "update", "delete":
+				t.AttCalls += o.Count
+			case "lookup":
+				t.Fetches += o.Count
+			case "scan":
+				t.Scans += o.Count
+			}
+		}
+	}
+	return t
 }

@@ -25,7 +25,7 @@ type Relation struct {
 	env  *Env
 	rd   *RelDesc
 	sm   StorageInstance
-	stat *RelStat // per-relation rollup (sys.stat_relations); cached to skip the table lookup per op
+	stat *RelStat // the relation's rollup, where its storage-method calls are charged
 	mvcc bool     // storage method stamps versions: snapshot reads skip the lock manager
 }
 
@@ -36,7 +36,7 @@ func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{env: env, rd: rd, sm: sm, stat: env.relStats.get(rd.RelID)}
+	r := &Relation{env: env, rd: rd, sm: sm, stat: env.relStats.get(rd)}
 	if ops := env.Reg.StorageOps(rd.SM); ops != nil {
 		r.mvcc = ops.MVCC
 	}
@@ -106,15 +106,10 @@ func (r *Relation) Insert(tx *txn.Txn, rec types.Record) (key types.Key, err err
 		return nil, err
 	}
 	mark := r.env.Log.LastLSN(tx.ID())
-	r.env.Metrics.SMCalls.Add(1)
-	smSp := r.smSpan(tx, obs.OpInsert)
-	start := time.Now()
-	key, err = r.sm.Insert(tx, rec)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpInsert, d, err != nil)
-	r.stat.observe(obs.OpInsert, d, err != nil)
-	smSp.End(err)
-	if err != nil {
+	if err := r.charge(tx, 0, obs.OpInsert, func() (err error) {
+		key, err = r.sm.Insert(tx, rec)
+		return err
+	}); err != nil {
 		return nil, r.vetoed(tx, mark, r.smName(), err)
 	}
 	if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeX); err != nil {
@@ -157,15 +152,10 @@ func (r *Relation) Update(tx *txn.Txn, key types.Key, newRec types.Record) (newK
 		return nil, err
 	}
 	mark := r.env.Log.LastLSN(tx.ID())
-	r.env.Metrics.SMCalls.Add(1)
-	smSp := r.smSpan(tx, obs.OpUpdate)
-	start := time.Now()
-	newKey, err = r.sm.Update(tx, key, oldRec, newRec)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpUpdate, d, err != nil)
-	r.stat.observe(obs.OpUpdate, d, err != nil)
-	smSp.End(err)
-	if err != nil {
+	if err := r.charge(tx, 0, obs.OpUpdate, func() (err error) {
+		newKey, err = r.sm.Update(tx, key, oldRec, newRec)
+		return err
+	}); err != nil {
 		return nil, r.vetoed(tx, mark, r.smName(), err)
 	}
 	if !newKey.Equal(key) {
@@ -206,15 +196,9 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 		return err
 	}
 	mark := r.env.Log.LastLSN(tx.ID())
-	r.env.Metrics.SMCalls.Add(1)
-	smSp := r.smSpan(tx, obs.OpDelete)
-	start := time.Now()
-	err = r.sm.Delete(tx, key, oldRec)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpDelete, d, err != nil)
-	r.stat.observe(obs.OpDelete, d, err != nil)
-	smSp.End(err)
-	if err != nil {
+	if err := r.charge(tx, 0, obs.OpDelete, func() error {
+		return r.sm.Delete(tx, key, oldRec)
+	}); err != nil {
 		return r.vetoed(tx, mark, r.smName(), err)
 	}
 	if err := r.notify(tx, obs.OpDelete, func(inst AttachmentInstance) error {
@@ -227,9 +211,7 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 }
 
 // notify runs the attached procedures for every attachment type with
-// instances on the relation, in identifier order, vetoing on error. In a
-// traced transaction each attached-procedure call is its own span; the
-// attachment that vetoes carries the veto tag and reason.
+// instances on the relation, in identifier order, vetoing on error.
 func (r *Relation) notify(tx *txn.Txn, op obs.Op, call func(AttachmentInstance) error, mark MarkLSN) error {
 	for i := 1; i < MaxAttachmentTypes; i++ {
 		if r.rd.AttDesc[i] == nil {
@@ -243,44 +225,48 @@ func (r *Relation) notify(tx *txn.Txn, op obs.Op, call func(AttachmentInstance) 
 		if err != nil {
 			return err
 		}
-		r.env.Metrics.AttCalls.Add(1)
-		attSp := r.attSpan(tx, id, op)
-		start := time.Now()
-		err = call(inst)
-		r.env.Obs.Att.Observe(i, op, time.Since(start), err != nil)
-		if err != nil {
-			r.env.Obs.AttVetoes[i].Inc()
-			attSp.MarkVeto()
-			attSp.End(err)
+		if err := r.charge(tx, id, op, func() error { return call(inst) }); err != nil {
 			return r.vetoed(tx, mark, r.env.Reg.AttachmentOps(id).Name, err)
 		}
-		attSp.End(nil)
 	}
 	return nil
 }
 
-// smSpan opens a storage-method dispatch span for a detailed-traced
-// transaction (nil, at the cost of one nil check, otherwise).
-func (r *Relation) smSpan(tx *txn.Txn, op obs.Op) *trace.Span {
-	tr := tx.Trace()
-	if !tr.Detailed() {
-		return nil
+// charge is the relation's one dispatch boundary: every storage-method
+// call (att == 0) and attached-procedure call (att > 0) it makes runs
+// through here. In a detailed-traced transaction it opens the call's
+// span. It times the call once and records it in the call's one store —
+// the relation rollup for the storage method, the engine's attachment
+// vector for an attached procedure — then ends the span. An attached
+// procedure that fails a modification vetoes it: the span carries the
+// veto tag and the attachment's veto counter rises.
+func (r *Relation) charge(tx *txn.Txn, att AttID, op obs.Op, call func() error) error {
+	var sp *trace.Span
+	if tr := tx.Trace(); tr.Detailed() {
+		if att == 0 {
+			sp = tr.StartSpan("sm."+op.String(), r.smName(), op.String())
+		} else {
+			name := fmt.Sprintf("attachment-%d", att)
+			if ops := r.env.Reg.AttachmentOps(att); ops != nil {
+				name = ops.Name
+			}
+			sp = tr.StartSpan("att."+op.String(), name, op.String())
+		}
 	}
-	return tr.StartSpan("sm."+op.String(), r.smName(), op.String())
-}
-
-// attSpan opens an attached-procedure dispatch span for a detailed-traced
-// transaction.
-func (r *Relation) attSpan(tx *txn.Txn, id AttID, op obs.Op) *trace.Span {
-	tr := tx.Trace()
-	if !tr.Detailed() {
-		return nil
+	start := time.Now()
+	err := call()
+	d := time.Since(start)
+	if att == 0 {
+		r.stat.Ops[op].Observe(d, err != nil)
+	} else {
+		r.env.Obs.Att.Observe(int(att), op, d, err != nil)
+		if err != nil && op <= obs.OpDelete {
+			r.env.Obs.AttVetoes[att].Inc()
+			sp.MarkVeto()
+		}
 	}
-	name := fmt.Sprintf("attachment-%d", id)
-	if ops := r.env.Reg.AttachmentOps(id); ops != nil {
-		name = ops.Name
-	}
-	return tr.StartSpan("att."+op.String(), name, op.String())
+	sp.End(err)
+	return err
 }
 
 // MarkLSN marks a statement-level rollback point: the transaction's last
@@ -290,7 +276,6 @@ type MarkLSN = wal.LSN
 // vetoed undoes the partial effects of the current relation modification
 // through the common recovery log and wraps the veto reason.
 func (r *Relation) vetoed(tx *txn.Txn, mark MarkLSN, extension string, reason error) error {
-	r.env.Metrics.Vetoes.Add(1)
 	if ve, ok := reason.(*VetoError); ok {
 		// A cascaded modification already vetoed and rolled back deeper
 		// effects; unwind the rest back to this statement's mark.
@@ -330,14 +315,11 @@ func (r *Relation) Fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.
 			return nil, err
 		}
 	}
-	r.env.Metrics.Fetches.Add(1)
-	smSp := r.smSpan(tx, obs.OpFetch)
-	start := time.Now()
-	rec, err := r.sm.FetchByKey(tx, key, fields, filter)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpFetch, d, err != nil)
-	r.stat.observe(obs.OpFetch, d, err != nil)
-	smSp.End(err)
+	var rec types.Record
+	err := r.charge(tx, 0, obs.OpFetch, func() (err error) {
+		rec, err = r.sm.FetchByKey(tx, key, fields, filter)
+		return err
+	})
 	if err == nil {
 		r.chargeRead(tx, 1)
 	}
@@ -357,15 +339,11 @@ func (r *Relation) OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error) {
 			return nil, err
 		}
 	}
-	r.env.Metrics.Scans.Add(1)
-	smSp := r.smSpan(tx, obs.OpScan)
-	start := time.Now()
-	s, err := r.sm.OpenScan(tx, opts)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpScan, d, err != nil)
-	r.stat.observe(obs.OpScan, d, err != nil)
-	smSp.End(err)
-	if err != nil {
+	var s Scan
+	if err := r.charge(tx, 0, obs.OpScan, func() (err error) {
+		s, err = r.sm.OpenScan(tx, opts)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return manageScan(tx, r.counted(tx, s))
@@ -398,13 +376,11 @@ func (r *Relation) OpenAccessScan(tx *txn.Txn, id AttID, instance int, opts Scan
 	if !ok {
 		return nil, fmt.Errorf("core: attachment type %d is not an access path", id)
 	}
-	r.env.Metrics.Scans.Add(1)
-	attSp := r.attSpan(tx, id, obs.OpScan)
-	start := time.Now()
-	s, err := ap.OpenScan(tx, instance, opts)
-	r.env.Obs.Att.Observe(int(id), obs.OpScan, time.Since(start), err != nil)
-	attSp.End(err)
-	if err != nil {
+	var s Scan
+	if err := r.charge(tx, id, obs.OpScan, func() (err error) {
+		s, err = ap.OpenScan(tx, instance, opts)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	if r.lockFree(tx) {
@@ -437,12 +413,11 @@ func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.K
 	if !ok {
 		return nil, fmt.Errorf("core: attachment type %d is not an access path", id)
 	}
-	r.env.Metrics.Fetches.Add(1)
-	attSp := r.attSpan(tx, id, obs.OpLookup)
-	start := time.Now()
-	keys, err := ap.LookupByKey(tx, instance, key)
-	r.env.Obs.Att.Observe(int(id), obs.OpLookup, time.Since(start), err != nil)
-	attSp.End(err)
+	var keys []types.Key
+	err = r.charge(tx, id, obs.OpLookup, func() (err error) {
+		keys, err = ap.LookupByKey(tx, instance, key)
+		return err
+	})
 	if err == nil && r.lockFree(tx) {
 		if vs, ok := r.sm.(VersionedStorage); ok {
 			kept := keys[:0]

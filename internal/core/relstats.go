@@ -4,52 +4,23 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dmx/internal/obs"
-	"dmx/internal/txn"
 )
 
-// RelStat is the per-relation dispatch rollup behind sys.stat_relations:
-// call counts per operation, row counts, and cumulative storage-method
-// dispatch time, accumulated in the Relation layer where every access
-// funnels through. Counters are atomics because relations are operated on
-// from many transactions concurrently and snapshotted by observers.
+// RelStat is the per-relation dispatch rollup and the one store of the
+// relation's storage-method calls: a call count, error count and latency
+// histogram per operation, recorded at the Relation layer where every
+// access funnels through. sys.stat_relations reads it directly; the
+// engine-wide storage-method view and the legacy totals are merged from
+// every relation's rollup at snapshot time. The row counters are charged
+// alongside the transaction ledger and share its accounting switch.
 type RelStat struct {
-	Inserts     atomic.Int64
-	Updates     atomic.Int64
-	Deletes     atomic.Int64
-	Fetches     atomic.Int64
-	Scans       atomic.Int64
-	Errors      atomic.Int64
+	RelID       uint32
+	SM          SMID
+	Ops         [obs.NumOps]obs.OpStat
 	RowsRead    atomic.Int64
 	RowsWritten atomic.Int64
-	SMNanos     atomic.Int64 // cumulative storage-method dispatch time
-}
-
-// observe books one dispatch call. Gated on the same switch as the
-// per-transaction ledgers so the SELFOBS benchmark measures the whole
-// accounting layer.
-func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
-	if rs == nil || !txn.AccountingEnabled() {
-		return
-	}
-	rs.SMNanos.Add(int64(d))
-	if failed {
-		rs.Errors.Add(1)
-	}
-	switch op {
-	case obs.OpInsert:
-		rs.Inserts.Add(1)
-	case obs.OpUpdate:
-		rs.Updates.Add(1)
-	case obs.OpDelete:
-		rs.Deletes.Add(1)
-	case obs.OpFetch:
-		rs.Fetches.Add(1)
-	case obs.OpScan:
-		rs.Scans.Add(1)
-	}
 }
 
 // RelStatRow is one sys.stat_relations row: a point-in-time copy of one
@@ -77,55 +48,63 @@ type relStatsTable struct {
 	m  map[uint32]*RelStat
 }
 
-// get returns the rollup for relID, creating it on first use.
-func (t *relStatsTable) get(relID uint32) *RelStat {
+// get returns the rollup for rd, creating it on first use.
+func (t *relStatsTable) get(rd *RelDesc) *RelStat {
 	t.mu.RLock()
-	rs := t.m[relID]
+	rs := t.m[rd.RelID]
 	t.mu.RUnlock()
 	if rs != nil {
 		return rs
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if rs = t.m[relID]; rs != nil {
+	if rs = t.m[rd.RelID]; rs != nil {
 		return rs
 	}
 	if t.m == nil {
 		t.m = make(map[uint32]*RelStat)
 	}
-	rs = &RelStat{}
-	t.m[relID] = rs
+	rs = &RelStat{RelID: rd.RelID, SM: rd.SM}
+	t.m[rd.RelID] = rs
 	return rs
+}
+
+// all returns every rollup, sorted by relation ID.
+func (t *relStatsTable) all() []*RelStat {
+	t.mu.RLock()
+	out := make([]*RelStat, 0, len(t.m))
+	for _, rs := range t.m {
+		out = append(out, rs)
+	}
+	t.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].RelID < out[j].RelID })
+	return out
 }
 
 // RelStatRows snapshots every relation rollup, sorted by relation ID,
 // with names resolved from the catalog.
 func (env *Env) RelStatRows() []RelStatRow {
-	env.relStats.mu.RLock()
-	stats := make(map[uint32]*RelStat, len(env.relStats.m))
-	for id, rs := range env.relStats.m {
-		stats[id] = rs
-	}
-	env.relStats.mu.RUnlock()
+	stats := env.relStats.all()
 	rows := make([]RelStatRow, 0, len(stats))
-	for id, rs := range stats {
+	for _, rs := range stats {
+		var calls [obs.NumOps]int64
 		row := RelStatRow{
-			RelID:       id,
-			Inserts:     rs.Inserts.Load(),
-			Updates:     rs.Updates.Load(),
-			Deletes:     rs.Deletes.Load(),
-			Fetches:     rs.Fetches.Load(),
-			Scans:       rs.Scans.Load(),
-			Errors:      rs.Errors.Load(),
+			RelID:       rs.RelID,
 			RowsRead:    rs.RowsRead.Load(),
 			RowsWritten: rs.RowsWritten.Load(),
-			SMNanos:     rs.SMNanos.Load(),
 		}
-		if rd, ok := env.Cat.Get(id); ok {
+		for op := range rs.Ops {
+			h := rs.Ops[op].Latency.Snapshot()
+			calls[op] = h.Count
+			row.SMNanos += h.SumNanos
+			row.Errors += rs.Ops[op].Errors.Load()
+		}
+		row.Inserts, row.Updates, row.Deletes = calls[obs.OpInsert], calls[obs.OpUpdate], calls[obs.OpDelete]
+		row.Fetches, row.Scans = calls[obs.OpFetch], calls[obs.OpScan]
+		if rd, ok := env.Cat.Get(rs.RelID); ok {
 			row.Name = rd.Name
 		}
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].RelID < rows[j].RelID })
 	return rows
 }

@@ -16,8 +16,9 @@ import (
 	"dmx/internal/pagefile"
 	"dmx/internal/plan"
 	"dmx/internal/remote"
-	"dmx/internal/sm/partsm"
-	"dmx/internal/sm/remotesm"
+	_ "dmx/internal/sm/partsm"
+	_ "dmx/internal/sm/remotesm"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -167,13 +168,13 @@ func (r *runner) openEnv(recover bool) error {
 		}
 		return nil
 	})
-	remotesm.AttachServer(r.env, "srv", remote.NewServer(0))
+	smutil.AttachServer(r.env, "srv", remote.NewServer(0))
 	// Partitioned fleets shard relation x across these three servers. They
 	// are recreated empty on every reopen: the storage method checkpoints
 	// its contents into the local log, so recovery repopulates the shards
 	// from scratch and resolves any transaction left in doubt.
 	for _, name := range []string{"s0", "s1", "s2"} {
-		partsm.AttachServer(r.env, name, remote.NewServer(0))
+		smutil.AttachServer(r.env, name, remote.NewServer(0))
 	}
 	if recover {
 		return r.env.Recover()

@@ -2,10 +2,11 @@
 //
 // The extension architecture funnels every storage-method and attachment
 // call through a handful of dispatch points, which makes uniform
-// instrumentation cheap: metrics are kept in vectors indexed by the same
-// small-integer extension identifiers that index the procedure vectors,
-// so recording a sample is an array index plus a few atomic adds — no
-// locks, no allocation, safe under any concurrency.
+// instrumentation cheap. Each call is recorded in one OpStat cell: the
+// relation's own cell for a storage method, or, for an attachment, a cell
+// of a vector indexed by the same small-integer identifiers as the
+// procedure vectors. Recording a sample is an array index plus a few
+// atomic adds: no locks, no allocation, safe under any concurrency.
 //
 // The package deliberately knows nothing about the engine: the common
 // services (core dispatch, lock manager, recovery log, buffer pool) each
@@ -245,21 +246,34 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(s.MaxNanos)
 }
 
-// OpStat is one (extension, operation) cell: call count, error count, and
-// a latency histogram.
+// OpStat is one (extension, operation) cell: an error count and a latency
+// histogram whose observation count is the call count.
 type OpStat struct {
-	Count   Counter
 	Errors  Counter
 	Latency Histogram
 }
 
 // Observe records one dispatched call.
 func (s *OpStat) Observe(d time.Duration, failed bool) {
-	s.Count.Inc()
 	if failed {
 		s.Errors.Inc()
 	}
 	s.Latency.Observe(d)
+}
+
+// Merge folds the calls recorded in o into s: counts, errors, sums and
+// buckets add, and the maximum is the larger of the two.
+func (s *OpStat) Merge(o *OpStat) {
+	s.Errors.Add(o.Errors.Load())
+	h := &s.Latency
+	h.count.Add(o.Latency.count.Load())
+	h.sum.Add(o.Latency.sum.Load())
+	if m := o.Latency.max.Load(); m > h.max.Load() {
+		h.max.Store(m)
+	}
+	for i := range h.buckets {
+		h.buckets[i].Add(o.Latency.buckets[i].Load())
+	}
 }
 
 // Vector is a per-extension-ID × per-operation stat table, indexed exactly
@@ -276,12 +290,44 @@ func (v *Vector) Observe(id int, op Op, d time.Duration, failed bool) {
 	v.stats[id][op].Observe(d, failed)
 }
 
-// At returns the stat cell for (id, op) (nil when out of range).
-func (v *Vector) At(id int, op Op) *OpStat {
+// Merge folds s into the cell for (id, op); out-of-range cells are
+// dropped. Merge builds a vector view out of stats kept elsewhere and is
+// not meant to race other writers of the cell.
+func (v *Vector) Merge(id int, op Op, s *OpStat) {
 	if id < 0 || id >= MaxExt || op >= NumOps {
-		return nil
+		return
 	}
-	return &v.stats[id][op]
+	v.stats[id][op].Merge(s)
+}
+
+// Snapshot materialises the vector: one entry per identifier with
+// recorded calls (or, given vetoes, recorded vetoes).
+func (v *Vector) Snapshot(vetoes *[MaxExt]Counter) []ExtSnapshot {
+	var out []ExtSnapshot
+	for id := 0; id < MaxExt; id++ {
+		var es ExtSnapshot
+		es.ID = id
+		for op := Op(0); op < NumOps; op++ {
+			cell := &v.stats[id][op]
+			h := cell.Latency.Snapshot()
+			if h.Count == 0 {
+				continue
+			}
+			es.Ops = append(es.Ops, OpSnapshot{
+				Op:      op.String(),
+				Count:   h.Count,
+				Errors:  cell.Errors.Load(),
+				Latency: h,
+			})
+		}
+		if vetoes != nil {
+			es.Vetoes = vetoes[id].Load()
+		}
+		if len(es.Ops) > 0 || es.Vetoes > 0 {
+			out = append(out, es)
+		}
+	}
+	return out
 }
 
 // LockStats instruments the common lock manager.
@@ -377,9 +423,10 @@ type PartStats struct {
 }
 
 // Engine aggregates every component's metrics into one registry. All
-// fields are recorded into concurrently without locks.
+// fields are recorded into concurrently without locks. Storage-method
+// dispatch has no vector here: each relation keeps its own calls, and the
+// engine view merges them by storage method (core.Env.MetricsSnapshot).
 type Engine struct {
-	SM        Vector // storage-method dispatch, indexed by SM identifier
 	Att       Vector // attachment dispatch, indexed by attachment-type identifier
 	AttVetoes [MaxExt]Counter
 	Lock      LockStats
@@ -396,7 +443,8 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 // Snapshot is the JSON-marshalable view of an Engine. Extension entries
-// appear only for identifiers with recorded activity.
+// appear only for identifiers with recorded activity. Engine.Snapshot
+// leaves SM empty; core.Env.MetricsSnapshot fills it.
 type Snapshot struct {
 	SM     []ExtSnapshot  `json:"storage_methods"`
 	Att    []ExtSnapshot  `json:"attachments"`
@@ -522,34 +570,6 @@ type BufferSnapshot struct {
 	HitRatio  float64 `json:"hit_ratio"`
 }
 
-func snapshotVector(v *Vector, vetoes *[MaxExt]Counter) []ExtSnapshot {
-	var out []ExtSnapshot
-	for id := 0; id < MaxExt; id++ {
-		var es ExtSnapshot
-		es.ID = id
-		for op := Op(0); op < NumOps; op++ {
-			cell := &v.stats[id][op]
-			n := cell.Count.Load()
-			if n == 0 {
-				continue
-			}
-			es.Ops = append(es.Ops, OpSnapshot{
-				Op:      op.String(),
-				Count:   n,
-				Errors:  cell.Errors.Load(),
-				Latency: cell.Latency.Snapshot(),
-			})
-		}
-		if vetoes != nil {
-			es.Vetoes = vetoes[id].Load()
-		}
-		if len(es.Ops) > 0 || es.Vetoes > 0 {
-			out = append(out, es)
-		}
-	}
-	return out
-}
-
 // Snapshot materialises the engine's metrics. It is safe to call under
 // concurrent recording; the result is a consistent-enough point-in-time
 // view (individual values are exact, cross-value skew is possible).
@@ -568,8 +588,7 @@ func (e *Engine) Snapshot() Snapshot {
 		bloomSkipRatio = float64(e.LSM.BloomSkips.Load()) / float64(probes)
 	}
 	return Snapshot{
-		SM:  snapshotVector(&e.SM, nil),
-		Att: snapshotVector(&e.Att, &e.AttVetoes),
+		Att: e.Att.Snapshot(&e.AttVetoes),
 		Lock: LockSnapshot{
 			Requests:      e.Lock.Requests.Load(),
 			Waits:         e.Lock.Waits.Load(),

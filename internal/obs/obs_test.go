@@ -54,17 +54,19 @@ func TestBucketUpperMonotone(t *testing.T) {
 
 func TestVectorObserveAndSnapshot(t *testing.T) {
 	e := NewEngine()
-	e.SM.Observe(3, OpInsert, time.Microsecond, false)
-	e.SM.Observe(3, OpInsert, 2*time.Microsecond, true)
-	e.SM.Observe(5, OpScan, time.Microsecond, false)
+	var sm Vector
+	sm.Observe(3, OpInsert, time.Microsecond, false)
+	sm.Observe(3, OpInsert, 2*time.Microsecond, true)
+	sm.Observe(5, OpScan, time.Microsecond, false)
 	e.Att.Observe(2, OpUpdate, time.Microsecond, false)
 	e.AttVetoes[2].Inc()
 	// Out-of-range ids are dropped, not panics.
-	e.SM.Observe(-1, OpInsert, 0, false)
-	e.SM.Observe(MaxExt, OpInsert, 0, false)
-	e.SM.Observe(0, NumOps, 0, false)
+	sm.Observe(-1, OpInsert, 0, false)
+	sm.Observe(MaxExt, OpInsert, 0, false)
+	sm.Observe(0, NumOps, 0, false)
 
 	snap := e.Snapshot()
+	snap.SM = sm.Snapshot(nil)
 	if len(snap.SM) != 2 {
 		t.Fatalf("SM entries = %d, want 2", len(snap.SM))
 	}
@@ -78,11 +80,14 @@ func TestVectorObserveAndSnapshot(t *testing.T) {
 
 func TestSnapshotJSON(t *testing.T) {
 	e := NewEngine()
-	e.SM.Observe(1, OpInsert, time.Microsecond, false)
+	var sm Vector
+	sm.Observe(1, OpInsert, time.Microsecond, false)
 	e.Lock.Requests.Inc()
 	e.Buffer.Hits.Add(3)
 	e.Buffer.Misses.Inc()
-	data, err := json.Marshal(e.Snapshot())
+	snap := e.Snapshot()
+	snap.SM = sm.Snapshot(nil)
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +261,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				e.SM.Observe(w%MaxExt, Op(i)%NumOps, time.Duration(i), i%7 == 0)
+				e.Att.Observe(w%MaxExt, Op(i)%NumOps, time.Duration(i), i%7 == 0)
 				e.Att.Observe((w+1)%MaxExt, OpInsert, time.Duration(i), false)
 				e.Lock.Requests.Inc()
 				e.Lock.Queue.Inc()

@@ -149,9 +149,10 @@ func rejoinLe(base, le string) string {
 
 func TestWritePrometheusValid(t *testing.T) {
 	e := NewEngine()
-	e.SM.Observe(0, OpInsert, 300*time.Nanosecond, false)
-	e.SM.Observe(0, OpInsert, 2*time.Millisecond, true)
-	e.SM.Observe(1, OpScan, time.Microsecond, false)
+	var sm Vector
+	sm.Observe(0, OpInsert, 300*time.Nanosecond, false)
+	sm.Observe(0, OpInsert, 2*time.Millisecond, true)
+	sm.Observe(1, OpScan, time.Microsecond, false)
 	e.Att.Observe(0, OpInsert, 50*time.Microsecond, true)
 	e.AttVetoes[0].Inc()
 	e.Lock.Requests.Add(10)
@@ -165,6 +166,7 @@ func TestWritePrometheusValid(t *testing.T) {
 	e.Buffer.Misses.Add(10)
 
 	snap := e.Snapshot()
+	snap.SM = sm.Snapshot(nil)
 	snap.SM[0].Name = "heap"
 	snap.Att[0].Name = `ref"int\idx` // label escaping must hold
 

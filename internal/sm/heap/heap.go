@@ -149,36 +149,13 @@ func (s *store) withPage(tx *txn.Txn, p uint32, write bool, fn func(f *buffer.Fr
 		return err
 	}
 	tr := tx.Trace()
-	acct := tx.Acct()
-	if !tr.Detailed() {
-		if acct == nil {
-			f, err := s.env.Pool.Pin(s.pages[p])
-			if err != nil {
-				return err
-			}
-			ferr := fn(f)
-			uerr := s.env.Pool.Unpin(f, write)
-			if ferr != nil {
-				return ferr
-			}
-			return uerr
-		}
-		f, st, err := s.env.Pool.PinWithStats(s.pages[p])
-		chargePin(acct, st)
-		if err != nil {
-			return err
-		}
-		ferr := fn(f)
-		uerr := s.env.Pool.Unpin(f, write)
-		if ferr != nil {
-			return ferr
-		}
-		return uerr
+	var start time.Time
+	if tr.Detailed() {
+		start = time.Now()
 	}
-	start := time.Now()
 	f, st, err := s.env.Pool.PinWithStats(s.pages[p])
-	chargePin(acct, st)
-	if st.Miss || err != nil {
+	chargePin(tx.Acct(), st)
+	if tr.Detailed() && (st.Miss || err != nil) {
 		op := "pin"
 		if st.Evicted {
 			op = "pin+evict"

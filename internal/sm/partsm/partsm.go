@@ -50,42 +50,6 @@ const MaxShards = 64
 // collide with an existing record (the key fields are the primary key).
 var ErrDuplicateKey = fmt.Errorf("partsm: duplicate key")
 
-const serverStateKey = "partsm.servers"
-
-// AttachServer makes a shard backend reachable from relations created
-// with servers=...,<name>,... in this environment.
-func AttachServer(env *core.Env, name string, srv *remote.Server) {
-	reg := servers(env)
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	reg.byName[name] = srv
-}
-
-type serverRegistry struct {
-	mu     sync.Mutex
-	byName map[string]*remote.Server
-}
-
-func servers(env *core.Env) *serverRegistry {
-	if v, ok := env.ExtState(serverStateKey); ok {
-		return v.(*serverRegistry)
-	}
-	reg := &serverRegistry{byName: make(map[string]*remote.Server)}
-	env.SetExtState(serverStateKey, reg)
-	return reg
-}
-
-func lookupServer(env *core.Env, name string) (*remote.Server, error) {
-	reg := servers(env)
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	srv, ok := reg.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("partsm: no shard server %q attached to this environment", name)
-	}
-	return srv, nil
-}
-
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
 		ID:   core.SMPart,
@@ -124,7 +88,7 @@ func init() {
 				return nil, err
 			}
 			for i := 0; i < shards; i++ {
-				srv, err := lookupServer(env, names[i%len(names)])
+				srv, err := smutil.LookupServer(env, names[i%len(names)])
 				if err != nil {
 					return nil, err
 				}
@@ -152,7 +116,7 @@ func init() {
 			}
 			for i := 0; i < shards; i++ {
 				name := names[i%len(names)]
-				srv, err := lookupServer(env, name)
+				srv, err := smutil.LookupServer(env, name)
 				if err != nil {
 					return nil, err
 				}
@@ -180,7 +144,7 @@ func init() {
 				return err
 			}
 			for i := 0; i < shards; i++ {
-				srv, err := lookupServer(env, names[i%len(names)])
+				srv, err := smutil.LookupServer(env, names[i%len(names)])
 				if err != nil {
 					continue // server gone: nothing left to drop
 				}

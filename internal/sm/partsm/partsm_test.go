@@ -9,6 +9,7 @@ import (
 	"dmx/internal/fault"
 	"dmx/internal/remote"
 	"dmx/internal/sm/partsm"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/types"
 )
 
@@ -25,7 +26,7 @@ func rec(id int64, val string) types.Record {
 
 func attach(env *core.Env, srvs []*remote.Server) {
 	for i, s := range srvs {
-		partsm.AttachServer(env, fmt.Sprintf("s%d", i), s)
+		smutil.AttachServer(env, fmt.Sprintf("s%d", i), s)
 	}
 }
 

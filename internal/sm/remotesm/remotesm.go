@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
@@ -29,42 +28,6 @@ const Name = "remote"
 // DefaultScanBatchSize is how many records one scan round trip fetches
 // unless the relation was created with a batch=<n> attribute.
 const DefaultScanBatchSize = 100
-
-const serverStateKey = "remotesm.servers"
-
-// AttachServer makes a foreign database reachable from relations created
-// with server=<name> in this environment.
-func AttachServer(env *core.Env, name string, srv *remote.Server) {
-	reg := servers(env)
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	reg.byName[name] = srv
-}
-
-type serverRegistry struct {
-	mu     sync.Mutex
-	byName map[string]*remote.Server
-}
-
-func servers(env *core.Env) *serverRegistry {
-	if v, ok := env.ExtState(serverStateKey); ok {
-		return v.(*serverRegistry)
-	}
-	reg := &serverRegistry{byName: make(map[string]*remote.Server)}
-	env.SetExtState(serverStateKey, reg)
-	return reg
-}
-
-func lookupServer(env *core.Env, name string) (*remote.Server, error) {
-	reg := servers(env)
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	srv, ok := reg.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("remotesm: no foreign server %q attached to this environment", name)
-	}
-	return srv, nil
-}
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
@@ -96,7 +59,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			srv, err := lookupServer(env, server)
+			srv, err := smutil.LookupServer(env, server)
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +75,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			srv, err := lookupServer(env, server)
+			srv, err := smutil.LookupServer(env, server)
 			if err != nil {
 				return nil, err
 			}

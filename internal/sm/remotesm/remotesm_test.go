@@ -8,7 +8,8 @@ import (
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/remote"
-	"dmx/internal/sm/remotesm"
+	_ "dmx/internal/sm/remotesm"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/types"
 	"dmx/internal/wal"
 )
@@ -24,7 +25,7 @@ func setup(t *testing.T) (*core.Env, *remote.Server, *core.Relation) {
 	t.Helper()
 	env := core.NewEnv(core.Config{})
 	srv := remote.NewServer(0)
-	remotesm.AttachServer(env, "fed", srv)
+	smutil.AttachServer(env, "fed", srv)
 	tx := env.Begin()
 	rd, err := env.CreateRelation(tx, "orders", schema(), "remote",
 		core.AttrList{"server": "fed", "table": "remote_orders"})
@@ -181,7 +182,7 @@ func TestRecoveryReplaysOntoFreshForeignDB(t *testing.T) {
 	log := wal.New()
 	env := core.NewEnv(core.Config{Log: log})
 	srv := remote.NewServer(0)
-	remotesm.AttachServer(env, "fed", srv)
+	smutil.AttachServer(env, "fed", srv)
 	tx := env.Begin()
 	rd, err := env.CreateRelation(tx, "orders", schema(), "remote", core.AttrList{"server": "fed"})
 	if err != nil {
@@ -196,7 +197,7 @@ func TestRecoveryReplaysOntoFreshForeignDB(t *testing.T) {
 	// Restart with a brand-new (empty) foreign database: replay restores it.
 	env2 := core.NewEnv(core.Config{Log: log})
 	srv2 := remote.NewServer(0)
-	remotesm.AttachServer(env2, "fed", srv2)
+	smutil.AttachServer(env2, "fed", srv2)
 	if err := env2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestRecoveryReplaysOntoFreshForeignDB(t *testing.T) {
 func TestScanBatchBoundaryMutation(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	srv := remote.NewServer(0)
-	remotesm.AttachServer(env, "fed", srv)
+	smutil.AttachServer(env, "fed", srv)
 	tx := env.Begin()
 	rd, err := env.CreateRelation(tx, "orders", schema(), "remote",
 		core.AttrList{"server": "fed", "table": "remote_orders", "batch": "8"})
@@ -312,7 +313,7 @@ func TestScanBatchBoundaryMutation(t *testing.T) {
 func TestLatencyInjection(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	srv := remote.NewServer(2 * time.Millisecond)
-	remotesm.AttachServer(env, "slow", srv)
+	smutil.AttachServer(env, "slow", srv)
 	tx := env.Begin()
 	rd, err := env.CreateRelation(tx, "t", schema(), "remote", core.AttrList{"server": "slow"})
 	if err != nil {

@@ -68,12 +68,12 @@ var accountingOn atomic.Bool
 func init() { accountingOn.Store(true) }
 
 // SetAccounting enables or disables per-transaction resource accounting
-// process-wide and returns the previous setting. Exists for overhead
-// measurement (cmd/dmxbench -run SELFOBS); production keeps it on.
+// process-wide and returns the previous setting: the ledgers and the
+// per-relation row counts charged beside them. The dispatch histograms
+// are not gated; they are the one store of each extension call. Exists
+// for overhead measurement (cmd/dmxbench -run SELFOBS); production keeps
+// it on.
 func SetAccounting(on bool) bool { return accountingOn.Swap(on) }
-
-// AccountingEnabled reports whether per-transaction accounting is on.
-func AccountingEnabled() bool { return accountingOn.Load() }
 
 // Acct returns the transaction's resource ledger, or nil when there is
 // nothing to charge: a nil transaction (recovery and maintenance paths
