@@ -91,9 +91,10 @@ part:
 
 # par is the parallel-execution race soak: the exchange operator's
 # early-close shutdown paths, the partitioned-scan differentials across
-# storage methods, and the hash join, repeated under the race detector.
+# storage methods, snapshot heap scans partitioned across goroutines under
+# a committing writer, and the hash join, repeated under the race detector.
 par:
-	$(GO) test -race -count=3 -run 'TestExchangeEarlyClose|TestParallelScan|TestParallelHashJoin|TestDuplicateKeyJoin' ./internal/plan/
+	$(GO) test -race -count=3 -run 'TestExchangeEarlyClose|TestParallelScan|TestSnapshotPartitionedScansUnderWriter|TestParallelHashJoin|TestDuplicateKeyJoin' ./internal/plan/ ./internal/sm/heap/
 
 bench:
 	$(GO) run ./cmd/dmxbench

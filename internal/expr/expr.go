@@ -12,6 +12,7 @@ package expr
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dmx/internal/types"
@@ -400,28 +401,22 @@ func Conjuncts(e *Expr) []*Expr {
 // Access procedures use it to isolate the fields the filter needs before
 // invoking the evaluator.
 func FieldsUsed(e *Expr) []int {
-	seen := map[int]bool{}
-	var walk func(*Expr)
-	walk = func(x *Expr) {
-		if x == nil {
-			return
-		}
-		if x.Op == OpField {
-			seen[x.Field] = true
-		}
-		for _, a := range x.Args {
-			walk(a)
+	return appendFieldsUsed(nil, e)
+}
+
+// appendFieldsUsed inserts e's field references into the sorted,
+// duplicate-free out; sets are tiny, so insertion beats a map.
+func appendFieldsUsed(out []int, e *Expr) []int {
+	if e == nil {
+		return out
+	}
+	if e.Op == OpField {
+		if i, found := slices.BinarySearch(out, e.Field); !found {
+			out = slices.Insert(out, i, e.Field)
 		}
 	}
-	walk(e)
-	out := make([]int, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; sets are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	for _, a := range e.Args {
+		out = appendFieldsUsed(out, a)
 	}
 	return out
 }

@@ -366,7 +366,7 @@ type MVCCStats struct {
 	ChainWalks      Counter // version-chain walks past an invisible head
 	Reconstructions Counter // record versions rebuilt from WAL records
 	Pruned          Counter // chain entries dropped below the oldest-snapshot horizon
-	Frozen          Counter // chains retired by checkpoint freezes
+	Frozen          Counter // chains retired by checkpoint freezes or once every snapshot sees their head
 }
 
 // LSMStats instruments the tiered-ingest (LSM) storage method: memtable

@@ -78,7 +78,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	p.sample("mvcc_reconstructions_total", "", float64(s.MVCC.Reconstructions))
 	p.family("mvcc_pruned_total", "counter", "version-chain entries pruned below the oldest snapshot")
 	p.sample("mvcc_pruned_total", "", float64(s.MVCC.Pruned))
-	p.family("mvcc_frozen_total", "counter", "version chains retired by checkpoint freezes")
+	p.family("mvcc_frozen_total", "counter", "version chains retired by checkpoint freezes or once every snapshot sees their head")
 	p.sample("mvcc_frozen_total", "", float64(s.MVCC.Frozen))
 
 	p.family("lsm_flushes_total", "counter", "LSM memtables sealed into sorted runs")

@@ -82,6 +82,11 @@ func decodeRID(k types.Key) (rid, error) {
 	return rid{page: binary.BigEndian.Uint32(k), slot: binary.BigEndian.Uint32(k[4:])}, nil
 }
 
+// less orders record addresses as their encoded keys compare.
+func (r rid) less(o rid) bool {
+	return r.page < o.page || r.page == o.page && r.slot < o.slot
+}
+
 // store is the heap storage instance for one relation.
 type store struct {
 	env *core.Env
@@ -290,9 +295,18 @@ func (s *store) unchain(r rid) {
 		return
 	}
 	if head.prev == nil {
-		delete(s.vers, r)
+		s.dropChain(r)
 	} else {
 		s.vers[r] = head.prev
+	}
+}
+
+// dropChain removes r's version chain, releasing the map once no chain is
+// left. Caller holds s.mu.
+func (s *store) dropChain(r rid) {
+	delete(s.vers, r)
+	if len(s.vers) == 0 {
+		s.vers = nil
 	}
 }
 
@@ -302,9 +316,19 @@ func (s *store) unchain(r rid) {
 // tracked write and is frozen-visible). Otherwise the visible version
 // was reconstructed from the WAL: present=false means the record does
 // not exist in the snapshot, else rec is its value. Caller holds s.mu.
+//
+// A committed head stamped at or below the snapshot's horizon is visible
+// to every snapshot now open and every one opened later, so page state is
+// the answer for all of them and nothing can walk the chain again: it is
+// retired here, exactly as a checkpoint freeze would retire it.
 func (s *store) versionFor(tx *txn.Txn, r rid, snap *txn.Snapshot) (usePage bool, rec types.Record, present bool, err error) {
 	head := s.vers[r]
 	if head == nil {
+		return true, nil, true, nil
+	}
+	if head.stamp != 0 && head.stamp <= snap.Horizon {
+		s.dropChain(r)
+		s.env.Obs.MVCC.Frozen.Inc()
 		return true, nil, true, nil
 	}
 	e := head
@@ -742,8 +766,23 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 // snapshot transaction's scan captures the snapshot once: every slot it
 // passes is resolved against it, so the scan observes one consistent
 // state no matter which transactions commit while it is open.
+//
+// The bounds are decoded once here, so the slot loop compares record
+// addresses and builds a key only for a record it returns.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &heapScan{store: s, tx: tx, opts: opts, nextRID: startRID(opts.Start)}
+	sc := &heapScan{store: s, tx: tx, opts: opts}
+	var err error
+	if opts.Start != nil {
+		if sc.nextRID, err = decodeRID(opts.Start); err != nil {
+			return nil, fmt.Errorf("heap: scan start: %w", err)
+		}
+	}
+	if opts.End != nil {
+		if sc.endRID, err = decodeRID(opts.End); err != nil {
+			return nil, fmt.Errorf("heap: scan end: %w", err)
+		}
+		sc.bounded = true
+	}
 	if tx.ReadOnly() {
 		sc.snap = tx.Snapshot()
 		s.env.Obs.MVCC.SnapshotReads.Inc()
@@ -752,17 +791,6 @@ func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) 
 		sc.filterFields = expr.FieldsUsed(opts.Filter)
 	}
 	return sc, nil
-}
-
-func startRID(k types.Key) rid {
-	if k == nil {
-		return rid{}
-	}
-	r, err := decodeRID(k)
-	if err != nil {
-		return rid{}
-	}
-	return r
 }
 
 // EstimateCost implements core.StorageInstance: a heap scan reads every
@@ -943,10 +971,18 @@ type heapScan struct {
 	store        *store
 	tx           *txn.Txn // buffer faults during the scan charge its trace
 	opts         core.ScanOptions
-	filterFields []int // fields the filter needs, isolated before decoding
-	nextRID      rid   // first candidate to examine
+	filterFields []int        // fields the filter needs, isolated before decoding
+	probe        types.Record // decode target for filter and output fields, reused slot to slot
+	nextRID      rid          // first candidate to examine
+	endRID       rid          // exclusive upper bound when bounded
+	bounded      bool
 	closed       bool
 	snap         *txn.Snapshot // non-nil: resolve every slot against this snapshot
+}
+
+// ended reports whether r lies at or past the scan's upper bound.
+func (sc *heapScan) ended(r rid) bool {
+	return sc.bounded && !r.less(sc.endRID)
 }
 
 // Next implements core.Scan. Each page is pinned once and its slots are
@@ -959,7 +995,7 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 	s := sc.store
 	for {
 		s.mu.Lock()
-		if int(sc.nextRID.page) >= len(s.pages) {
+		if int(sc.nextRID.page) >= len(s.pages) || sc.ended(sc.nextRID) {
 			s.mu.Unlock()
 			return nil, nil, false, nil
 		}
@@ -967,15 +1003,12 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 		var outKey types.Key
 		var outRec types.Record
 		found := false
-		ended := false
 		err := s.withPage(sc.tx, page, false, func(f *buffer.Frame) error {
 			nslots := int(binary.BigEndian.Uint16(f.Data))
 			for int(sc.nextRID.slot) < nslots {
 				cur := sc.nextRID
-				key := encodeRID(cur)
-				if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
-					ended = true
-					return nil
+				if sc.ended(cur) {
+					return nil // the check above the page pin ends the scan
 				}
 				sc.nextRID = rid{page: cur.page, slot: cur.slot + 1}
 				so := slotOffset(int(cur.slot))
@@ -1001,7 +1034,10 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 								continue
 							}
 						}
-						outKey = key
+						if sc.opts.Fields != nil {
+							vrec = vrec.Project(sc.opts.Fields)
+						}
+						outKey = encodeRID(cur)
 						outRec = vrec
 						found = true
 						return nil
@@ -1018,11 +1054,12 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 				// unqualified entries are skipped without materialising
 				// the rest.
 				if sc.opts.Filter != nil {
-					probe, _, derr := types.DecodeRecordFields(body, sc.filterFields)
+					var derr error
+					sc.probe, _, derr = types.DecodeRecordFieldsInto(sc.probe, body, sc.filterFields)
 					if derr != nil {
 						return derr
 					}
-					match, ferr := s.env.Eval.EvalBool(sc.opts.Filter, probe, sc.opts.Params)
+					match, ferr := s.env.Eval.EvalBool(sc.opts.Filter, sc.probe, sc.opts.Params)
 					if ferr != nil {
 						return ferr
 					}
@@ -1032,14 +1069,16 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 				}
 				var derr error
 				if sc.opts.Fields != nil {
-					outRec, _, derr = types.DecodeRecordFields(body, sc.opts.Fields)
-				} else {
-					outRec, _, derr = types.DecodeRecord(body)
-				}
-				if derr != nil {
+					// The probe is free once the filter has passed: decode
+					// the wanted fields into it and copy out just those.
+					if sc.probe, _, derr = types.DecodeRecordFieldsInto(sc.probe, body, sc.opts.Fields); derr != nil {
+						return derr
+					}
+					outRec = sc.probe.Project(sc.opts.Fields)
+				} else if outRec, _, derr = types.DecodeRecord(body); derr != nil {
 					return derr
 				}
-				outKey = key
+				outKey = encodeRID(cur)
 				found = true
 				return nil
 			}
@@ -1050,13 +1089,7 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if ended {
-			return nil, nil, false, nil
-		}
 		if found {
-			if sc.opts.Fields != nil {
-				outRec = outRec.Project(sc.opts.Fields)
-			}
 			return outKey, outRec, true, nil
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	_ "dmx/internal/sm/heap"
+	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
 )
@@ -509,5 +510,90 @@ func TestStampsSurviveCheckpointRecovery(t *testing.T) {
 	}
 	if got := env2.Txns.StampHW(); got <= hw {
 		t.Fatalf("post-restart commit stamped %d, want above restored high-water %d", got, hw)
+	}
+}
+
+// A scan bound that is not an 8-byte record address is refused when the
+// scan opens, as Restore refuses the same bytes, rather than read as "from
+// the first record" or compared byte-wise against record keys.
+func TestOpenScanRejectsMalformedBounds(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	defer tx.Commit()
+	for i := 0; i < 10; i++ {
+		if _, err := r.Insert(tx, rec(int64(i), "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := types.Key{0, 0, 1}
+	for _, opts := range []core.ScanOptions{{Start: bad}, {End: bad}, {Start: types.Key{}}} {
+		if sc, err := r.OpenScan(tx, opts); err == nil {
+			sc.Close()
+			t.Errorf("OpenScan(start=%v, end=%v) accepted a malformed bound", opts.Start, opts.End)
+		}
+	}
+}
+
+// A filtered scan allocates per returned record, not per visited slot:
+// rejected records are probed through a reused decode target and get no
+// record key. What remains is a fixed overhead, the buffer pool's per-pin
+// bookkeeping (~2 per page, ~80 rows here) and the returned row and key.
+// Locking and snapshot scans both hold to it (the snapshot scan retires
+// the load's version chains on its first pass).
+func TestScanAllocsScaleWithMatches(t *testing.T) {
+	const rows, matches = 5000, 50 // 1% selective
+	env := core.NewEnv(core.Config{Log: wal.New()})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	for i := 0; i < rows; i++ {
+		if _, err := r.Insert(tx, rec(int64(i), "payload-of-some-length")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	filter := expr.Lt(expr.Field(0), expr.Const(types.Int(matches)))
+	pages := r.Storage().(interface{ PageCount() int }).PageCount()
+	limit := float64(3*matches + 3*pages + 32)
+	for _, tc := range []struct {
+		name  string
+		begin func() *txn.Txn
+	}{{"locking", env.Begin}, {"snapshot", env.BeginReadOnly}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tx := tc.begin()
+			defer tx.Commit()
+			allocs := testing.AllocsPerRun(5, func() {
+				sc, err := r.OpenScan(tx, core.ScanOptions{Filter: filter, Fields: []int{0}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := len(drain(t, sc)); n != matches {
+					t.Fatalf("scan matched %d, want %d", n, matches)
+				}
+			})
+			t.Logf("%s scan: %.0f allocs for %d matches over %d rows on %d pages", tc.name, allocs, matches, rows, pages)
+			if allocs > limit {
+				t.Fatalf("%s scan made %.0f allocs, want <= %.0f (3 per match and per page + 32)", tc.name, allocs, limit)
+			}
+		})
+	}
+}
+
+// drain reads a scan to exhaustion and closes it.
+func drain(t *testing.T, sc core.Scan) []types.Record {
+	t.Helper()
+	defer sc.Close()
+	var out []types.Record
+	for {
+		_, got, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, got)
 	}
 }

@@ -128,8 +128,15 @@ const FrozenStamp uint64 = 1
 // while in-flight writers either carry no stamp yet or will receive one
 // above HW. InFlight is advisory (introspection, tests): it may include
 // writers that finished between the two reads inside BeginReadOnly.
+//
+// Horizon is the smallest high-water among the snapshots open at begin
+// time, this one included. The high-water only rises, so every snapshot
+// then open and every one opened later sees all stamps at or below it: a
+// version stamped at or below Horizon is visible to all of them for good,
+// which lets storage methods retire the version chain above it.
 type Snapshot struct {
 	HW       uint64
+	Horizon  uint64
 	InFlight map[wal.TxnID]struct{}
 }
 
@@ -237,7 +244,7 @@ func (m *Manager) BeginReadOnly() *Txn {
 	m.mu.Unlock()
 
 	m.stampMu.Lock()
-	tx.snap = &Snapshot{HW: m.stampHW, InFlight: inflight}
+	tx.snap = &Snapshot{HW: m.stampHW, Horizon: m.oldestSnapshotHWLocked(), InFlight: inflight}
 	m.snaps[tx.id] = tx.snap.HW
 	m.stampMu.Unlock()
 	return tx
@@ -265,6 +272,11 @@ func (m *Manager) ActiveReadOnly() int {
 func (m *Manager) OldestSnapshotHW() uint64 {
 	m.stampMu.Lock()
 	defer m.stampMu.Unlock()
+	return m.oldestSnapshotHWLocked()
+}
+
+// oldestSnapshotHWLocked is OldestSnapshotHW for a caller holding stampMu.
+func (m *Manager) oldestSnapshotHWLocked() uint64 {
 	oldest := m.stampHW
 	for _, hw := range m.snaps {
 		if hw < oldest {

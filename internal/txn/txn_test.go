@@ -323,3 +323,36 @@ func TestManagerAccessors(t *testing.T) {
 	}
 	tx.Commit()
 }
+
+// A snapshot's horizon is the oldest high-water among the snapshots open
+// when it began, itself included: a lower bound on what every snapshot
+// then open, or opened later, can see.
+func TestSnapshotHorizon(t *testing.T) {
+	m, _ := newEnv()
+	commit := func() {
+		t.Helper()
+		if err := m.Begin().Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit()
+	old := m.BeginReadOnly()
+	if s := old.Snapshot(); s.Horizon != s.HW {
+		t.Fatalf("lone snapshot: horizon %d, HW %d", s.Horizon, s.HW)
+	}
+	commit()
+	newer := m.BeginReadOnly()
+	if s := newer.Snapshot(); s.HW <= old.Snapshot().HW || s.Horizon != old.Snapshot().HW {
+		t.Fatalf("newer snapshot: HW %d, horizon %d; older HW %d", s.HW, s.Horizon, old.Snapshot().HW)
+	}
+	if err := old.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	commit()
+	last := m.BeginReadOnly()
+	if s := last.Snapshot(); s.Horizon != newer.Snapshot().HW || s.HW != m.StampHW() {
+		t.Fatalf("after the oldest closed: HW %d, horizon %d; open snapshot HW %d", s.HW, s.Horizon, newer.Snapshot().HW)
+	}
+	newer.Commit()
+	last.Commit()
+}

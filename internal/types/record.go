@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -240,25 +241,32 @@ func skipValue(b []byte) (int, error) {
 // isolate the fields a filter predicate needs while the record bytes are
 // still in the buffer pool.
 func DecodeRecordFields(b []byte, fields []int) (Record, int, error) {
+	return DecodeRecordFieldsInto(nil, b, fields)
+}
+
+// DecodeRecordFieldsInto is DecodeRecordFields decoding into dst, which is
+// reused (every field overwritten) when its length matches the record's
+// arity and freshly allocated otherwise. A scan that probes many records
+// with one filter keeps one dst, so rejected records cost no allocation
+// beyond the STRING and BYTES values the filter itself needs.
+func DecodeRecordFieldsInto(dst Record, b []byte, fields []int) (Record, int, error) {
 	if len(b) < 2 {
 		return nil, 0, fmt.Errorf("types: truncated record")
 	}
 	arity := int(binary.BigEndian.Uint16(b))
 	pos := 2
-	rec := make(Record, arity)
-	want := make(map[int]bool, len(fields))
+	rec := dst
+	if rec != nil && len(rec) == arity {
+		clear(rec)
+	} else {
+		rec = make(Record, arity)
+	}
 	maxField := -1
 	for _, f := range fields {
-		want[f] = true
-		if f > maxField {
-			maxField = f
-		}
+		maxField = max(maxField, f)
 	}
-	for i := 0; i < arity; i++ {
-		if i > maxField {
-			break // nothing further is needed
-		}
-		if want[i] {
+	for i := 0; i < arity && i <= maxField; i++ { // nothing past maxField is needed
+		if slices.Contains(fields, i) { // field lists are tiny: a scan beats a set
 			v, used, err := DecodeValue(b[pos:])
 			if err != nil {
 				return nil, 0, fmt.Errorf("types: record field %d: %w", i, err)

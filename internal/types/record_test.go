@@ -251,3 +251,30 @@ func TestDecodeRecordFieldsMatchesFullDecodeProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestDecodeRecordFieldsIntoReusesTarget(t *testing.T) {
+	enc := Record{Int(7), Int(8), Str("s"), Int(9)}.AppendEncode(nil)
+	dst, _, err := DecodeRecordFieldsInto(nil, enc, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := DecodeRecordFieldsInto(dst, enc, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("a target of matching arity was not reused")
+	}
+	if !got[0].IsNull() || !got[1].IsNull() || !got[2].IsNull() || !Equal(got[3], Int(9)) {
+		t.Fatalf("reused target = %v, want only field 3 decoded", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		got, _, _ = DecodeRecordFieldsInto(got, enc, []int{0, 3})
+	}); allocs != 0 {
+		t.Fatalf("decoding INT fields into a reused target made %.0f allocs", allocs)
+	}
+	short := make(Record, 2)
+	if got, _, _ = DecodeRecordFieldsInto(short, enc, []int{0}); len(got) != 4 || &got[0] == &short[0] {
+		t.Fatalf("a target of the wrong arity was reused: %v", got)
+	}
+}
