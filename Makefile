@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: tier-1 build + vet + static analysis +
+# check is the pre-merge gate: gofmt + tier-1 build + vet + static analysis +
 # tests with coverage in shuffled order (catches order-dependent tests
 # and tracks the covered fraction), then the full suite again under the
 # race detector with caching disabled (the crash-point harness sweep in
@@ -24,7 +24,7 @@ test:
 # `make part` runs the same suite at soak depth. perfbench/ is a nested
 # module that `./...` does not reach, so perf-test builds and tests it
 # against this tree.
-check: build vet staticcheck
+check: fmt build vet staticcheck
 	$(GO) test -shuffle=on -cover ./...
 	$(GO) test -race -count=1 ./...
 	$(MAKE) par
@@ -111,8 +111,9 @@ perf:
 perf-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
-	gofmt -l .
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

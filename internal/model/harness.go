@@ -16,6 +16,7 @@ import (
 	"dmx/internal/pagefile"
 	"dmx/internal/plan"
 	"dmx/internal/remote"
+	_ "dmx/internal/sm/btreesm"
 	_ "dmx/internal/sm/partsm"
 	_ "dmx/internal/sm/remotesm"
 	"dmx/internal/sm/smutil"

@@ -7,8 +7,7 @@ import (
 	"dmx/internal/att/refint"
 	"dmx/internal/att/unique"
 	"dmx/internal/core"
-	"dmx/internal/sm/btreesm"
-	"dmx/internal/sm/partsm"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/types"
 )
 
@@ -106,13 +105,6 @@ func veto(ext string, err error) Outcome { return Outcome{Ext: ext, Err: err} }
 // fields are the primary key and inserts/updates colliding on them are
 // vetoed by the method itself.
 func keyedSM(sm string) bool { return sm == "btree" || sm == "part" }
-
-func dupKeyErr(sm string) error {
-	if sm == "part" {
-		return partsm.ErrDuplicateKey
-	}
-	return btreesm.ErrDuplicateKey
-}
 
 // Row is one live record in the oracle: the record value plus the engine
 // record key once the harness has learned it (nil in generator mode).
@@ -556,7 +548,7 @@ func (m *Model) insert(rel string, rid int, rec types.Record) Outcome {
 	// Storage method first: a key-organised method rejects duplicates
 	// before any attached procedure runs.
 	if keyedSM(cfg.SM) && m.findMatch(rs, cfg.KeyFields, rec, -1) >= 0 {
-		return veto(cfg.SM, dupKeyErr(cfg.SM))
+		return veto(cfg.SM, smutil.ErrDuplicateKey)
 	}
 
 	// Attached procedures in attachment-identifier order. The deferred
@@ -592,7 +584,7 @@ func (m *Model) update(rel string, rid int, rec types.Record) Outcome {
 
 	if keyedSM(cfg.SM) && fieldsChanged(cfg.KeyFields, old.Rec, rec) &&
 		m.findMatch(rs, cfg.KeyFields, rec, rid) >= 0 {
-		return veto(cfg.SM, dupKeyErr(cfg.SM))
+		return veto(cfg.SM, smutil.ErrDuplicateKey)
 	}
 
 	var cascade []int

@@ -14,6 +14,7 @@ package remote
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -236,6 +237,11 @@ func (s *Server) table(name string) (*table, error) {
 // ErrFaulted is the error text injected faults report back to the client.
 const ErrFaulted = "remote: injected fault"
 
+// ErrKeyNotFound is the error a client call returns when the server
+// answers that the requested key is absent. It is the only error that
+// means "absent": any other failure says nothing about the key.
+var ErrKeyNotFound = errors.New("remote: key not found")
+
 func (s *Server) handle(req *Request) *Response {
 	s.Messages.Add(1)
 	if s.Latency > 0 {
@@ -317,20 +323,20 @@ func (s *Server) execute(req *Request) *Response {
 		return &Response{Key: key}
 	case OpDelete:
 		if _, ok := t.recs[string(req.Key)]; !ok {
-			return &Response{Err: "remote: key not found"}
+			return &Response{Err: ErrKeyNotFound.Error()}
 		}
 		t.del(req.Key)
 		return &Response{}
 	case OpGet:
 		if st := s.stagedFor(req.TxnID, req.Table, req.Key); st != nil {
 			if st.rec == nil {
-				return &Response{Err: "remote: key not found"}
+				return &Response{Err: ErrKeyNotFound.Error()}
 			}
 			return &Response{Rec: st.rec}
 		}
 		rec, ok := t.recs[string(req.Key)]
 		if !ok {
-			return &Response{Err: "remote: key not found"}
+			return &Response{Err: ErrKeyNotFound.Error()}
 		}
 		return &Response{Rec: rec}
 	case OpScan:
@@ -564,6 +570,9 @@ func (c *Client) Call(req *Request) (*Response, error) {
 	var resp Response
 	if err := c.dec.Decode(&resp); err != nil {
 		return nil, fmt.Errorf("remote: recv: %w", err)
+	}
+	if resp.Err == ErrKeyNotFound.Error() {
+		return nil, ErrKeyNotFound
 	}
 	if resp.Err != "" {
 		return nil, fmt.Errorf("%s", resp.Err)

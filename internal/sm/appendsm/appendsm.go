@@ -645,19 +645,7 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	if err != nil {
 		return nil, err
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return smutil.FetchFiltered(s.env.Eval, rec, fields, filter)
 }
 
 // OpenScan implements core.StorageInstance: press (key) order, merged
@@ -804,19 +792,13 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if sc.opts.Filter != nil {
-			match, err := s.env.Eval.EvalBool(sc.opts.Filter, rec, sc.opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				continue
-			}
+		rec, ok, err = smutil.FilterProject(s.env.Eval, rec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		if sc.opts.Fields != nil {
-			rec = rec.Project(sc.opts.Fields)
+		if ok {
+			return key, rec, true, nil
 		}
-		return key, rec, true, nil
 	}
 }
 

@@ -19,6 +19,7 @@ package partsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -39,16 +40,12 @@ import (
 // Name is the DDL name of the storage method.
 const Name = "part"
 
-// DefaultScanBatchSize is how many records one per-shard scan round trip
-// fetches unless the relation was created with a batch=<n> attribute.
-const DefaultScanBatchSize = 100
-
 // MaxShards bounds the shards=<n> attribute.
 const MaxShards = 64
 
 // ErrDuplicateKey is returned when inserting a record whose key fields
 // collide with an existing record (the key fields are the primary key).
-var ErrDuplicateKey = fmt.Errorf("partsm: duplicate key")
+var ErrDuplicateKey = smutil.ErrDuplicateKey
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
@@ -65,17 +62,17 @@ func init() {
 			if err := attrs.CheckAllowed(Name, "key", "shards", "servers", "batch"); err != nil {
 				return err
 			}
-			if _, err := parseKeyAttr(schema, attrs); err != nil {
+			if _, err := smutil.ParseKeyAttr(Name, schema, attrs); err != nil {
 				return err
 			}
 			if _, _, err := parseShardAttrs(attrs); err != nil {
 				return err
 			}
-			_, err := parseBatch(attrs)
+			_, err := smutil.ParseBatch(Name, attrs)
 			return err
 		},
 		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, attrs core.AttrList) ([]byte, error) {
-			fields, err := parseKeyAttr(rd.Schema, attrs)
+			fields, err := smutil.ParseKeyAttr(Name, rd.Schema, attrs)
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +80,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			batch, err := parseBatch(attrs)
+			batch, err := smutil.ParseBatch(Name, attrs)
 			if err != nil {
 				return nil, err
 			}
@@ -130,10 +127,9 @@ func init() {
 					return nil, err
 				}
 				s.shards = append(s.shards, shard{
-					server: name,
-					table:  shardTable(rd.Name, i),
-					srv:    srv,
-					client: client,
+					ForeignTable: smutil.ForeignTable{Client: client, Table: shardTable(rd.Name, i)},
+					server:       name,
+					srv:          srv,
 				})
 			}
 			return s, nil
@@ -162,22 +158,6 @@ func shardTable(relName string, i int) string {
 	return fmt.Sprintf("%s#%d", relName, i)
 }
 
-func parseKeyAttr(schema *types.Schema, attrs core.AttrList) ([]int, error) {
-	spec, ok := attrs.Get("key")
-	if !ok || spec == "" {
-		return nil, fmt.Errorf("partsm: the part storage method requires a key=col,... attribute")
-	}
-	var fields []int
-	for _, name := range strings.Split(spec, ",") {
-		i := schema.ColIndex(strings.TrimSpace(name))
-		if i < 0 {
-			return nil, fmt.Errorf("partsm: key column %q not in schema", strings.TrimSpace(name))
-		}
-		fields = append(fields, i)
-	}
-	return fields, nil
-}
-
 func parseShardAttrs(attrs core.AttrList) (shards int, names []string, err error) {
 	spec, ok := attrs.Get("servers")
 	if !ok || spec == "" {
@@ -201,23 +181,8 @@ func parseShardAttrs(attrs core.AttrList) (shards int, names []string, err error
 	return shards, names, nil
 }
 
-func parseBatch(attrs core.AttrList) (int, error) {
-	spec, ok := attrs.Get("batch")
-	if !ok {
-		return DefaultScanBatchSize, nil
-	}
-	n, err := strconv.Atoi(spec)
-	if err != nil || n < 1 || n > 10000 {
-		return 0, fmt.Errorf("partsm: batch must be 1..10000, got %q", spec)
-	}
-	return n, nil
-}
-
 func encodeDesc(fields []int, shards int, names []string, batch int) []byte {
-	out := []byte{byte(len(fields))}
-	for _, f := range fields {
-		out = binary.BigEndian.AppendUint16(out, uint16(f))
-	}
+	out := smutil.AppendKeyFields(nil, fields)
 	out = append(out, byte(shards))
 	out = binary.BigEndian.AppendUint16(out, uint16(batch))
 	out = append(out, byte(len(names)))
@@ -232,24 +197,14 @@ func decodeDesc(b []byte) (fields []int, shards int, names []string, batch int, 
 	bad := func() ([]int, int, []string, int, error) {
 		return nil, 0, nil, 0, fmt.Errorf("partsm: truncated storage descriptor")
 	}
-	if len(b) < 1 {
+	fields, b, ok := smutil.DecodeKeyFields(b)
+	if !ok || len(b) < 4 {
 		return bad()
 	}
-	nf := int(b[0])
-	pos := 1
-	if len(b) < pos+2*nf+4 {
-		return bad()
-	}
-	for i := 0; i < nf; i++ {
-		fields = append(fields, int(binary.BigEndian.Uint16(b[pos:])))
-		pos += 2
-	}
-	shards = int(b[pos])
-	pos++
-	batch = int(binary.BigEndian.Uint16(b[pos:]))
-	pos += 2
-	nn := int(b[pos])
-	pos++
+	shards = int(b[0])
+	batch = int(binary.BigEndian.Uint16(b[1:]))
+	nn := int(b[3])
+	pos := 4
 	for i := 0; i < nn; i++ {
 		if len(b) < pos+1 {
 			return bad()
@@ -268,12 +223,11 @@ func decodeDesc(b []byte) (fields []int, shards int, names []string, batch int, 
 	return fields, shards, names, batch, nil
 }
 
-// shard is one partition's backend binding.
+// shard is one partition's backend binding: its table on its server.
 type shard struct {
+	smutil.ForeignTable
 	server string
-	table  string
 	srv    *remote.Server
-	client *remote.Client
 }
 
 // session tracks one local transaction's footprint across the shards, so
@@ -367,7 +321,7 @@ func (s *store) ensure(tx *txn.Txn) (*session, error) {
 func (s *store) prepare(tx *txn.Txn, sess *session) error {
 	for _, i := range sortedShards(sess) {
 		s.env.Obs.Part.Prepares.Add(1)
-		if err := s.shards[i].client.Prepare(uint64(tx.ID())); err != nil {
+		if err := s.shards[i].Client.Prepare(uint64(tx.ID())); err != nil {
 			return fmt.Errorf("partsm: shard %d prepare: %w", i, err)
 		}
 	}
@@ -390,10 +344,10 @@ func (s *store) decide(tx *txn.Txn, sess *session, commit bool) {
 		var err error
 		if commit {
 			s.env.Obs.Part.Commits.Add(1)
-			err = s.shards[i].client.CommitTxn(uint64(tx.ID()))
+			err = s.shards[i].Client.CommitTxn(uint64(tx.ID()))
 		} else {
 			s.env.Obs.Part.Aborts.Add(1)
-			err = s.shards[i].client.AbortTxn(uint64(tx.ID()))
+			err = s.shards[i].Client.AbortTxn(uint64(tx.ID()))
 		}
 		if err != nil {
 			s.env.Obs.Part.AckLost.Add(1)
@@ -416,6 +370,22 @@ func sortedShards(sess *session) []int {
 	return out
 }
 
+// checkAbsent probes shard sh for key under tx's staged view before a
+// write claims it. Only the server's key-not-found answer means the key is
+// free: any other failure fails the write, since reading it as "absent"
+// would let the write overwrite a committed record.
+func (s *store) checkAbsent(tx *txn.Txn, sh int, key types.Key, rec types.Record) error {
+	_, err := s.shards[sh].Client.GetTxn(uint64(tx.ID()), s.shards[sh].Table, key)
+	switch {
+	case err == nil:
+		return fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(s.keyFields))
+	case errors.Is(err, remote.ErrKeyNotFound):
+		return nil
+	default:
+		return fmt.Errorf("partsm: shard %d duplicate-key probe: %w", sh, err)
+	}
+}
+
 // Insert implements core.StorageInstance: the record is staged on its
 // owning shard under the transaction id, invisible to other transactions
 // until the commit decision reaches the shard.
@@ -426,13 +396,13 @@ func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.shards[sh].client.GetTxn(uint64(tx.ID()), s.shards[sh].table, key); err == nil {
-		return nil, fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(s.keyFields))
+	if err := s.checkAbsent(tx, sh, key, rec); err != nil {
+		return nil, err
 	}
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
 		return nil, err
 	}
-	if err := s.shards[sh].client.StagePut(uint64(tx.ID()), s.shards[sh].table, key, rec); err != nil {
+	if err := s.shards[sh].Client.StagePut(uint64(tx.ID()), s.shards[sh].Table, key, rec); err != nil {
 		return nil, err
 	}
 	sess.touched[sh] = true
@@ -449,20 +419,20 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 		return nil, err
 	}
 	if !newKey.Equal(key) {
-		if _, err := s.shards[newShard].client.GetTxn(uint64(tx.ID()), s.shards[newShard].table, newKey); err == nil {
-			return nil, fmt.Errorf("%w: %v", ErrDuplicateKey, newRec.Project(s.keyFields))
+		if err := s.checkAbsent(tx, newShard, newKey, newRec); err != nil {
+			return nil, err
 		}
 	}
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: newKey, Old: oldRec, New: newRec}); err != nil {
 		return nil, err
 	}
 	if !newKey.Equal(key) {
-		if err := s.shards[oldShard].client.StageDelete(uint64(tx.ID()), s.shards[oldShard].table, key); err != nil {
+		if err := s.shards[oldShard].Client.StageDelete(uint64(tx.ID()), s.shards[oldShard].Table, key); err != nil {
 			return nil, err
 		}
 		sess.touched[oldShard] = true
 	}
-	if err := s.shards[newShard].client.StagePut(uint64(tx.ID()), s.shards[newShard].table, newKey, newRec); err != nil {
+	if err := s.shards[newShard].Client.StagePut(uint64(tx.ID()), s.shards[newShard].Table, newKey, newRec); err != nil {
 		return nil, err
 	}
 	sess.touched[newShard] = true
@@ -480,7 +450,7 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModDelete, Key: key, Old: oldRec}); err != nil {
 		return err
 	}
-	if err := s.shards[sh].client.StageDelete(uint64(tx.ID()), s.shards[sh].table, key); err != nil {
+	if err := s.shards[sh].Client.StageDelete(uint64(tx.ID()), s.shards[sh].Table, key); err != nil {
 		return err
 	}
 	sess.touched[sh] = true
@@ -493,23 +463,11 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
 	sh := s.shardOf(key)
 	s.env.Obs.Part.RoutedReads.Add(1)
-	rec, err := s.shards[sh].client.GetTxn(txnID(tx), s.shards[sh].table, key)
+	rec, err := s.shards[sh].Client.GetTxn(txnID(tx), s.shards[sh].Table, key)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, err)
+		return nil, smutil.ForeignFetchErr(key, err)
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return smutil.FetchFiltered(s.env.Eval, rec, fields, filter)
 }
 
 // fullKeyLen walks the order-preserving key encoding and returns the
@@ -561,46 +519,19 @@ func fullKeyLen(b []byte) int {
 // field, so no other same-arity key falls in that range. Everything else
 // scatters to every shard and merges the per-shard cursors.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &scan{store: s, tx: txnID(tx), opts: opts}
-	routed := -1
+	var tables []smutil.ForeignTable
 	if len(opts.Start) > 0 && len(opts.End) > 0 &&
 		bytes.Equal(opts.End, smutil.PrefixSuccessor(opts.Start)) &&
 		fullKeyLen(opts.Start) == len(s.keyFields) {
-		routed = s.shardOf(opts.Start)
-	}
-	if routed >= 0 {
 		s.env.Obs.Part.RoutedScans.Add(1)
-		sc.cursors = []*cursor{{shard: routed}}
+		tables = []smutil.ForeignTable{s.shards[s.shardOf(opts.Start)].ForeignTable}
 	} else {
 		s.env.Obs.Part.ScatterScans.Add(1)
 		for i := range s.shards {
-			sc.cursors = append(sc.cursors, &cursor{shard: i})
+			tables = append(tables, s.shards[i].ForeignTable)
 		}
 	}
-	if opts.Start != nil {
-		// Start is inclusive; the remote protocol is exclusive-after, so
-		// position every cursor just before Start.
-		sc.after = beforeKey(opts.Start)
-		sc.started = true
-		for _, c := range sc.cursors {
-			c.after = sc.after
-		}
-	}
-	return sc, nil
-}
-
-// beforeKey returns a key that sorts immediately before k (exclusive-after
-// semantics then include k itself).
-func beforeKey(k types.Key) types.Key {
-	out := append(types.Key(nil), k...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] > 0 {
-			out[i]--
-			return append(out, 0xFF)
-		}
-		out = out[:i]
-	}
-	return nil
+	return smutil.NewForeignScan(s.env.Eval, txnID(tx), s.batch, opts, tables), nil
 }
 
 // EstimateCost implements core.StorageInstance: a whole-key point access
@@ -646,7 +577,7 @@ func (s *store) PartitionBounds(n int) []types.Key {
 	}
 	var keys []string
 	for i := range s.shards {
-		entries, err := s.shards[i].client.ScanBatch(s.shards[i].table, nil, s.batch)
+		entries, err := s.shards[i].Client.ScanBatch(s.shards[i].Table, nil, s.batch)
 		if err != nil {
 			return nil
 		}
@@ -670,7 +601,7 @@ func (s *store) PartitionBounds(n int) []types.Key {
 func (s *store) RecordCount() int {
 	total := 0
 	for i := range s.shards {
-		n, err := s.shards[i].client.Count(s.shards[i].table)
+		n, err := s.shards[i].Client.Count(s.shards[i].Table)
 		if err != nil {
 			return total
 		}
@@ -717,12 +648,12 @@ func (s *store) applyStaged(id uint64, sess *session, p core.ModPayload, undo bo
 	put := func(key types.Key, rec types.Record) error {
 		sh := s.shardOf(key)
 		sess.touched[sh] = true
-		return s.shards[sh].client.StagePut(id, s.shards[sh].table, key, rec)
+		return s.shards[sh].Client.StagePut(id, s.shards[sh].Table, key, rec)
 	}
 	del := func(key types.Key) error {
 		sh := s.shardOf(key)
 		sess.touched[sh] = true
-		return s.shards[sh].client.StageDelete(id, s.shards[sh].table, key)
+		return s.shards[sh].Client.StageDelete(id, s.shards[sh].Table, key)
 	}
 	switch p.Op {
 	case core.ModInsert:
@@ -747,21 +678,21 @@ func (s *store) applyStaged(id uint64, sess *session, p core.ModPayload, undo bo
 func (s *store) applyDirect(p core.ModPayload, undo bool) error {
 	put := func(key types.Key, rec types.Record) error {
 		sh := s.shardOf(key)
-		if err := s.shards[sh].client.CreateTable(s.shards[sh].table); err != nil {
+		if err := s.shards[sh].Client.CreateTable(s.shards[sh].Table); err != nil {
 			return err
 		}
-		_, err := s.shards[sh].client.Put(s.shards[sh].table, key, rec)
+		_, err := s.shards[sh].Client.Put(s.shards[sh].Table, key, rec)
 		return err
 	}
 	del := func(key types.Key) error {
 		sh := s.shardOf(key)
-		if err := s.shards[sh].client.CreateTable(s.shards[sh].table); err != nil {
+		if err := s.shards[sh].Client.CreateTable(s.shards[sh].Table); err != nil {
 			return err
 		}
 		// A missing key is fine in both directions: the shard may already
 		// reflect the retraction (the decision arrived before the crash)
 		// or never received the staged write at all.
-		s.shards[sh].client.Delete(s.shards[sh].table, key)
+		s.shards[sh].Client.Delete(s.shards[sh].Table, key)
 		return nil
 	}
 	op, key, rec := p.Op, p.Key, p.New
@@ -806,13 +737,13 @@ func (s *store) ShardInfos() []core.ShardInfo {
 		info := core.ShardInfo{
 			Shard:    i,
 			Server:   s.shards[i].server,
-			Table:    s.shards[i].table,
+			Table:    s.shards[i].Table,
 			Messages: s.shards[i].srv.Messages.Load(),
 		}
-		if n, err := s.shards[i].client.Count(s.shards[i].table); err == nil {
+		if n, err := s.shards[i].Client.Count(s.shards[i].Table); err == nil {
 			info.Records = n
 		}
-		if ids, err := s.shards[i].client.InDoubt(); err == nil {
+		if ids, err := s.shards[i].Client.InDoubt(); err == nil {
 			info.InDoubt = len(ids)
 		}
 		out = append(out, info)
@@ -881,7 +812,7 @@ func (s *store) resolve(committed map[wal.TxnID]bool) error {
 			continue
 		}
 		seen[s.shards[i].srv] = true
-		ids, err := s.shards[i].client.InDoubt()
+		ids, err := s.shards[i].Client.InDoubt()
 		if err != nil {
 			return fmt.Errorf("partsm: shard %d in-doubt query: %w", i, err)
 		}
@@ -889,9 +820,9 @@ func (s *store) resolve(committed map[wal.TxnID]bool) error {
 			commit := committed[wal.TxnID(id)] || pending[id]
 			var derr error
 			if commit {
-				derr = s.shards[i].client.CommitTxn(id)
+				derr = s.shards[i].Client.CommitTxn(id)
 			} else {
-				derr = s.shards[i].client.AbortTxn(id)
+				derr = s.shards[i].Client.AbortTxn(id)
 			}
 			if derr != nil {
 				return fmt.Errorf("partsm: resolve txn %d on shard %d: %w", id, i, derr)
@@ -899,124 +830,5 @@ func (s *store) resolve(committed map[wal.TxnID]bool) error {
 			s.env.Obs.Part.Resolved.Add(1)
 		}
 	}
-	return nil
-}
-
-// scan merges per-shard batched cursors back into global key order.
-type scan struct {
-	store   *store
-	tx      uint64
-	opts    core.ScanOptions
-	cursors []*cursor
-	after   types.Key // last key returned (global position)
-	started bool
-	closed  bool
-}
-
-// cursor is one shard's batched window into its key-ordered table.
-type cursor struct {
-	shard int
-	after types.Key
-	batch []remote.Entry
-	done  bool
-}
-
-// Next implements core.Scan: refill any empty cursor, then pop the
-// globally smallest head. Per-cursor strictly-after batching keeps
-// concurrent inserts and deletes from skipping or duplicating keys, same
-// as the single-backend remote scan.
-func (sc *scan) Next() (types.Key, types.Record, bool, error) {
-	if sc.closed {
-		return nil, nil, false, fmt.Errorf("partsm: scan is closed")
-	}
-	for {
-		best := -1
-		for ci, c := range sc.cursors {
-			if len(c.batch) == 0 && !c.done {
-				entries, err := sc.store.shards[c.shard].client.ScanBatchTxn(
-					sc.tx, sc.store.shards[c.shard].table, c.after, sc.store.batch)
-				if err != nil {
-					return nil, nil, false, err
-				}
-				if len(entries) == 0 {
-					c.done = true
-					continue
-				}
-				c.batch = entries
-			}
-			if len(c.batch) == 0 {
-				continue
-			}
-			if best < 0 || bytes.Compare(c.batch[0].Key, sc.cursors[best].batch[0].Key) < 0 {
-				best = ci
-			}
-		}
-		if best < 0 {
-			return nil, nil, false, nil
-		}
-		c := sc.cursors[best]
-		e := c.batch[0]
-		c.batch = c.batch[1:]
-		c.after = types.Key(e.Key)
-		key := types.Key(e.Key)
-		sc.after = key
-		sc.started = true
-		if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
-			return nil, nil, false, nil
-		}
-		rec, _, err := types.DecodeRecord(e.Rec)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if sc.opts.Filter != nil {
-			match, err := sc.store.env.Eval.EvalBool(sc.opts.Filter, rec, sc.opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				continue
-			}
-		}
-		if sc.opts.Fields != nil {
-			rec = rec.Project(sc.opts.Fields)
-		}
-		return key, rec, true, nil
-	}
-}
-
-// Pos implements core.Scan: the global position is the last key returned.
-func (sc *scan) Pos() core.ScanPos {
-	if !sc.started {
-		return core.ScanPos{0}
-	}
-	return append(core.ScanPos{1}, sc.after...)
-}
-
-// Restore implements core.Scan: every cursor restarts strictly after the
-// restored global position (keys at or before it were already returned on
-// whichever shard owned them; shard data may have changed under partial
-// rollback, so the batches are refetched).
-func (sc *scan) Restore(pos core.ScanPos) error {
-	if len(pos) == 0 {
-		return fmt.Errorf("partsm: empty scan position")
-	}
-	if pos[0] == 0 {
-		sc.started = false
-		sc.after = nil
-	} else {
-		sc.started = true
-		sc.after = append(types.Key(nil), pos[1:]...)
-	}
-	for _, c := range sc.cursors {
-		c.batch = nil
-		c.done = false
-		c.after = sc.after
-	}
-	return nil
-}
-
-// Close implements core.Scan.
-func (sc *scan) Close() error {
-	sc.closed = true
 	return nil
 }

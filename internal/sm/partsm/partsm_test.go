@@ -206,6 +206,57 @@ func TestPartDuplicateKey(t *testing.T) {
 	tx.Abort()
 }
 
+// TestPartFaultedDuplicateProbeFailsWrite checks that only the shard's
+// key-not-found answer lets a write claim a key: a duplicate probe that
+// fails for any other reason must fail the insert, not overwrite the
+// committed record.
+func TestPartFaultedDuplicateProbeFailsWrite(t *testing.T) {
+	env, srvs, r := setup(t, 1)
+	tx := env.Begin()
+	if _, err := r.Insert(tx, rec(7, "original")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	srvs[0].InjectFault(remote.OpGet, remote.FaultReject, 1)
+	tx = env.Begin()
+	if _, err := r.Insert(tx, rec(7, "clobber")); err == nil {
+		t.Fatal("insert succeeded although its duplicate probe failed")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := scanAll(t, env, r)
+	if len(got) != 1 || got[0][1].S != "original" {
+		t.Fatalf("scan after refused insert = %v, want [(7, original)]", got)
+	}
+}
+
+// TestPartFaultedFetchIsNotNotFound checks that a fetch failing in
+// transport is reported as that failure, not as an absent key.
+func TestPartFaultedFetchIsNotNotFound(t *testing.T) {
+	env, srvs, r := setup(t, 1)
+	tx := env.Begin()
+	k, err := r.Insert(tx, rec(7, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	srvs[0].InjectFault(remote.OpGet, remote.FaultReject, 1)
+	tx = env.Begin()
+	defer tx.Commit()
+	_, err = r.Fetch(tx, k, nil, nil)
+	if err == nil || errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("faulted fetch = %v, want a non-not-found error", err)
+	}
+	if _, err := r.Fetch(tx, k, nil, nil); err != nil {
+		t.Fatalf("fetch after the fault: %v", err)
+	}
+}
+
 // TestPartRoutedPointAccess checks that a whole-key scan range touches
 // exactly one shard while a full scan touches all of them.
 func TestPartRoutedPointAccess(t *testing.T) {

@@ -12,7 +12,6 @@ package remotesm
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
@@ -24,10 +23,6 @@ import (
 
 // Name is the DDL name of the storage method.
 const Name = "remote"
-
-// DefaultScanBatchSize is how many records one scan round trip fetches
-// unless the relation was created with a batch=<n> attribute.
-const DefaultScanBatchSize = 100
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
@@ -44,7 +39,7 @@ func init() {
 			if _, ok := attrs.Get("server"); !ok {
 				return fmt.Errorf("remotesm: the remote storage method requires a server=<name> attribute")
 			}
-			if _, err := parseBatch(attrs); err != nil {
+			if _, err := smutil.ParseBatch(Name, attrs); err != nil {
 				return err
 			}
 			return nil
@@ -55,7 +50,7 @@ func init() {
 			if !ok {
 				tableName = rd.Name
 			}
-			batch, err := parseBatch(attrs)
+			batch, err := smutil.ParseBatch(Name, attrs)
 			if err != nil {
 				return nil, err
 			}
@@ -84,18 +79,6 @@ func init() {
 	})
 }
 
-func parseBatch(attrs core.AttrList) (int, error) {
-	spec, ok := attrs.Get("batch")
-	if !ok {
-		return DefaultScanBatchSize, nil
-	}
-	n, err := strconv.Atoi(spec)
-	if err != nil || n < 1 || n > 10000 {
-		return 0, fmt.Errorf("remotesm: batch must be 1..10000, got %q", spec)
-	}
-	return n, nil
-}
-
 func encodeDesc(server, tableName string, batch int) []byte {
 	out := []byte{byte(len(server))}
 	out = append(out, server...)
@@ -120,7 +103,7 @@ func decodeDesc(b []byte) (server, tableName string, batch int, err error) {
 	tableName = string(b[2+n : 2+n+m])
 	batch = int(binary.BigEndian.Uint16(b[2+n+m:]))
 	if batch < 1 {
-		batch = DefaultScanBatchSize
+		batch = smutil.DefaultScanBatchSize
 	}
 	return server, tableName, batch, nil
 }
@@ -171,47 +154,16 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
 	rec, err := s.client.Get(s.table, key)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, err)
+		return nil, smutil.ForeignFetchErr(key, err)
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return smutil.FetchFiltered(s.env.Eval, rec, fields, filter)
 }
 
-// OpenScan implements core.StorageInstance: batched remote key order.
+// OpenScan implements core.StorageInstance: batched remote key order, the
+// shared foreign scan over this one table outside any server transaction.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &scan{store: s, opts: opts}
-	if opts.Start != nil {
-		// Start is inclusive; the remote protocol is exclusive-after, so
-		// position just before Start.
-		sc.after = beforeKey(opts.Start)
-		sc.started = true
-	}
-	return sc, nil
-}
-
-// beforeKey returns a key that sorts immediately before k (exclusive-after
-// semantics then include k itself).
-func beforeKey(k types.Key) types.Key {
-	out := append(types.Key(nil), k...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] > 0 {
-			out[i]--
-			return append(out, 0xFF)
-		}
-		out = out[:i]
-	}
-	return nil
+	return smutil.NewForeignScan(s.env.Eval, 0, s.batch, opts,
+		[]smutil.ForeignTable{{Client: s.client, Table: s.table}}), nil
 }
 
 // EstimateCost implements core.StorageInstance: every batch of records is
@@ -275,88 +227,3 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 }
 
 var _ core.StorageInstance = (*store)(nil)
-
-// scan is a batched key-sequential access over the foreign relation.
-type scan struct {
-	store   *store
-	opts    core.ScanOptions
-	after   types.Key
-	started bool
-	batch   []remote.Entry
-	closed  bool
-}
-
-// Next implements core.Scan.
-func (sc *scan) Next() (types.Key, types.Record, bool, error) {
-	if sc.closed {
-		return nil, nil, false, fmt.Errorf("remotesm: scan is closed")
-	}
-	for {
-		if len(sc.batch) == 0 {
-			entries, err := sc.store.client.ScanBatch(sc.store.table, sc.after, sc.store.batch)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if len(entries) == 0 {
-				return nil, nil, false, nil
-			}
-			sc.batch = entries
-		}
-		e := sc.batch[0]
-		sc.batch = sc.batch[1:]
-		sc.after = types.Key(e.Key)
-		sc.started = true
-		key := types.Key(e.Key)
-		if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
-			return nil, nil, false, nil
-		}
-		rec, _, err := types.DecodeRecord(e.Rec)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if sc.opts.Filter != nil {
-			match, err := sc.store.env.Eval.EvalBool(sc.opts.Filter, rec, sc.opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				continue
-			}
-		}
-		if sc.opts.Fields != nil {
-			rec = rec.Project(sc.opts.Fields)
-		}
-		return key, rec, true, nil
-	}
-}
-
-// Pos implements core.Scan.
-func (sc *scan) Pos() core.ScanPos {
-	if !sc.started {
-		return core.ScanPos{0}
-	}
-	return append(core.ScanPos{1}, sc.after...)
-}
-
-// Restore implements core.Scan: the batch is refetched from the restored
-// position (remote data may have changed under partial rollback).
-func (sc *scan) Restore(pos core.ScanPos) error {
-	if len(pos) == 0 {
-		return fmt.Errorf("remotesm: empty scan position")
-	}
-	sc.batch = nil
-	if pos[0] == 0 {
-		sc.started = false
-		sc.after = nil
-		return nil
-	}
-	sc.started = true
-	sc.after = append(types.Key(nil), pos[1:]...)
-	return nil
-}
-
-// Close implements core.Scan.
-func (sc *scan) Close() error {
-	sc.closed = true
-	return nil
-}

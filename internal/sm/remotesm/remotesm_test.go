@@ -75,6 +75,26 @@ func TestRemoteRoundTrips(t *testing.T) {
 	tx.Commit()
 }
 
+// TestFaultedFetchIsNotNotFound checks that a fetch failing in transport
+// is reported as that failure, not as an absent key.
+func TestFaultedFetchIsNotNotFound(t *testing.T) {
+	env, srv, r := setup(t)
+	tx := env.Begin()
+	defer tx.Commit()
+	k, err := r.Insert(tx, rec(1, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.InjectFault(remote.OpGet, remote.FaultReject, 1)
+	_, err = r.Fetch(tx, k, nil, nil)
+	if err == nil || errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("faulted fetch = %v, want a non-not-found error", err)
+	}
+	if _, err := r.Fetch(tx, k, nil, nil); err != nil {
+		t.Fatalf("fetch after the fault: %v", err)
+	}
+}
+
 func TestRequiresServerAttr(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	tx := env.Begin()

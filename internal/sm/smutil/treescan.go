@@ -1,6 +1,8 @@
-// Package smutil holds helpers shared by the tree-backed storage method
-// and access path extensions: a key-sequential scan over a btree.Tree with
-// the architecture's position semantics, and small codec utilities.
+// Package smutil holds the building blocks storage methods and access path
+// extensions share, each once: a key-sequential scan over a btree.Tree with
+// the architecture's position semantics, the in-memory tree store,
+// filter-and-project, the key-field codec, and the foreign-server registry
+// with its batched scan.
 package smutil
 
 import (

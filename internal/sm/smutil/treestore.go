@@ -3,6 +3,7 @@ package smutil
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"dmx/internal/btree"
@@ -25,24 +26,29 @@ func EstimateSelectivity(conjuncts []*expr.Expr) float64 {
 	return sel
 }
 
-// TreeStore is a storage instance holding records in an in-memory B-tree
-// keyed by an 8-byte insertion sequence number (the storage method's
-// record-key definition). It backs both the main-memory storage method
-// (logged, recoverable) and the temporary-relation storage method
-// (unlogged, non-recoverable).
+// TreeStore is a storage instance holding records in an in-memory B-tree.
+// Its record key is either an 8-byte insertion sequence number (no key
+// fields: the main-memory and temporary-relation storage methods) or the
+// order-preserving encoding of the record's key fields (the
+// B-tree-organised storage method), in which case the key fields are the
+// primary key and updating them moves the record. A logged store is
+// transactional and recoverable through the common log; an unlogged one is
+// neither.
 type TreeStore struct {
-	env    *core.Env
-	rd     *core.RelDesc
-	logged bool
+	env       *core.Env
+	rd        *core.RelDesc
+	logged    bool
+	keyFields []int // nil: keyed by insertion sequence
 
 	mu      sync.Mutex
-	tree    *btree.Tree
+	tree    *btree.Tree // record key -> encoded record
 	nextSeq uint64
 }
 
-// NewTreeStore returns an empty store for rd.
-func NewTreeStore(env *core.Env, rd *core.RelDesc, logged bool) *TreeStore {
-	return &TreeStore{env: env, rd: rd, logged: logged, tree: btree.New(), nextSeq: 1}
+// NewTreeStore returns an empty store for rd, keyed by keyFields or, when
+// keyFields is nil, by insertion sequence.
+func NewTreeStore(env *core.Env, rd *core.RelDesc, logged bool, keyFields []int) *TreeStore {
+	return &TreeStore{env: env, rd: rd, logged: logged, keyFields: keyFields, tree: btree.New(), nextSeq: 1}
 }
 
 func seqKey(seq uint64) types.Key {
@@ -58,11 +64,24 @@ func (s *TreeStore) log(tx *txn.Txn, p core.ModPayload) error {
 	return core.LogSM(tx, s.rd, p)
 }
 
+func (s *TreeStore) dupErr(rec types.Record) error {
+	return fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(s.keyFields))
+}
+
 // Insert implements core.StorageInstance.
 func (s *TreeStore) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
+	var key types.Key
 	s.mu.Lock()
-	key := seqKey(s.nextSeq)
-	s.nextSeq++
+	if s.keyFields == nil {
+		key = seqKey(s.nextSeq)
+		s.nextSeq++
+	} else {
+		key = types.EncodeKeyFields(rec, s.keyFields)
+		if _, dup := s.tree.Get(key); dup {
+			s.mu.Unlock()
+			return nil, s.dupErr(rec)
+		}
+	}
 	s.mu.Unlock()
 	if err := s.log(tx, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
 		return nil, err
@@ -73,21 +92,37 @@ func (s *TreeStore) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 	return key, nil
 }
 
-// Update implements core.StorageInstance; the record key is stable.
+// Update implements core.StorageInstance: a sequence key is stable;
+// updating key fields moves the record to its new key position.
 func (s *TreeStore) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) (types.Key, error) {
+	newKey := key
+	if s.keyFields != nil {
+		newKey = types.EncodeKeyFields(newRec, s.keyFields)
+	}
+	moved := !newKey.Equal(key)
 	s.mu.Lock()
 	_, exists := s.tree.Get(key)
+	var dup bool
+	if moved {
+		_, dup = s.tree.Get(newKey)
+	}
 	s.mu.Unlock()
 	if !exists {
 		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, key)
 	}
-	if err := s.log(tx, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: key, Old: oldRec, New: newRec}); err != nil {
+	if dup {
+		return nil, s.dupErr(newRec)
+	}
+	if err := s.log(tx, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: newKey, Old: oldRec, New: newRec}); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.tree.Set(key, newRec.AppendEncode(nil))
+	if moved {
+		s.tree.Delete(key)
+	}
+	s.tree.Set(newKey, newRec.AppendEncode(nil))
 	s.mu.Unlock()
-	return key, nil
+	return newKey, nil
 }
 
 // Delete implements core.StorageInstance.
@@ -116,39 +151,19 @@ func (s *TreeStore) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter 
 	if err != nil {
 		return nil, err
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return FetchFiltered(s.env.Eval, rec, fields, filter)
 }
 
-// OpenScan implements core.StorageInstance.
+// OpenScan implements core.StorageInstance: key order, with range bounds.
 func (s *TreeStore) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
 	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
 		rec, _, err := types.DecodeRecord(v)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if opts.Filter != nil {
-			match, err := s.env.Eval.EvalBool(opts.Filter, rec, opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				return nil, nil, false, nil
-			}
-		}
-		if opts.Fields != nil {
-			rec = rec.Project(opts.Fields)
+		rec, ok, err := FilterProject(s.env.Eval, rec, opts.Filter, opts.Params, opts.Fields)
+		if !ok {
+			return nil, nil, false, err
 		}
 		return types.Key(k).Clone(), rec, true, nil
 	}
@@ -156,19 +171,34 @@ func (s *TreeStore) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, err
 }
 
 // EstimateCost implements core.StorageInstance: memory-resident scans cost
-// no I/O and one CPU unit per record.
+// no I/O and one CPU unit per record, and predicates on a key-field prefix
+// make the store itself a cheap access path. A sequence-keyed store has no
+// key fields, so it always prices the full scan and never claims an order.
 func (s *TreeStore) EstimateCost(req core.CostRequest) core.CostEstimate {
-	n := float64(s.RecordCount())
-	return core.CostEstimate{
-		Usable:      true,
-		IO:          0,
-		CPU:         n,
-		Selectivity: RequestSelectivity(req),
+	s.mu.Lock()
+	n := float64(s.tree.Len())
+	height := float64(s.tree.Height())
+	s.mu.Unlock()
+	start, end, handled, point, depth := KeyRange(s.keyFields, req.Conjuncts)
+	est := core.CostEstimate{Usable: true, IO: 0, Start: start, End: end, Handled: handled,
+		Ordered: s.keyFields != nil && OrderSatisfiedBy(s.keyFields, req.OrderBy)}
+	switch {
+	case point:
+		est.CPU = height + 1
+		est.Selectivity = 1 / math.Max(n, 1)
+	case depth > 0:
+		frac := HandledSelectivity(req, handled)
+		est.CPU = height + n*frac
+		est.Selectivity = frac * ResidualSelectivity(req, handled)
+	default:
+		est.CPU = n
+		est.Selectivity = RequestSelectivity(req)
 	}
+	return est
 }
 
 // PartitionBounds implements core.RangePartitioner: interior split keys
-// dividing the sequence-key space into ~equal record counts.
+// dividing the key space into ~equal record counts.
 func (s *TreeStore) PartitionBounds(n int) []types.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,7 +233,7 @@ func (s *TreeStore) RecordCount() int {
 }
 
 // ApplyLogged implements core.StorageInstance: logical undo/redo of the
-// shared modification payload.
+// shared modification payload, including key-moving updates.
 func (s *TreeStore) ApplyLogged(payload []byte, undo bool) error {
 	p, err := core.DecodeMod(payload)
 	if err != nil {
@@ -211,32 +241,48 @@ func (s *TreeStore) ApplyLogged(payload []byte, undo bool) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	op := p.Op
-	if undo {
-		switch op {
-		case core.ModInsert:
-			op = core.ModDelete
-		case core.ModDelete:
-			op = core.ModInsert
-			p.New = p.Old
-		case core.ModUpdate:
-			p.New = p.Old
-		}
-	}
-	switch op {
+	switch p.Op {
 	case core.ModInsert:
-		s.tree.Set(p.Key, p.New.AppendEncode(nil))
-		if seq := binary.BigEndian.Uint64(p.Key); seq >= s.nextSeq {
-			s.nextSeq = seq + 1
+		if undo {
+			s.tree.Delete(p.Key)
+		} else {
+			s.put(p.Key, p.New)
 		}
 	case core.ModDelete:
-		s.tree.Delete(p.Key)
+		if undo {
+			s.put(p.Key, p.Old)
+		} else {
+			s.tree.Delete(p.Key)
+		}
 	case core.ModUpdate:
-		s.tree.Set(p.Key, p.New.AppendEncode(nil))
+		from, to, rec := p.Key, p.NewKey, p.New
+		if undo {
+			from, to, rec = p.NewKey, p.Key, p.Old
+		}
+		if !from.Equal(to) {
+			s.tree.Delete(from)
+		}
+		s.tree.Set(to, rec.AppendEncode(nil))
 	default:
 		return fmt.Errorf("smutil: bad logged op %v", p.Op)
 	}
 	return nil
 }
 
-var _ core.StorageInstance = (*TreeStore)(nil)
+// put installs a replayed record (caller holds mu). A replayed sequence
+// key advances the sequence past it so later inserts cannot collide; a
+// key-field key is not a sequence number and leaves it alone.
+func (s *TreeStore) put(key types.Key, rec types.Record) {
+	s.tree.Set(key, rec.AppendEncode(nil))
+	if s.keyFields != nil {
+		return
+	}
+	if seq := binary.BigEndian.Uint64(key); seq >= s.nextSeq {
+		s.nextSeq = seq + 1
+	}
+}
+
+var (
+	_ core.StorageInstance  = (*TreeStore)(nil)
+	_ core.RangePartitioner = (*TreeStore)(nil)
+)
