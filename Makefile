@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench perf perf-test crash race model ingest par part fmt vet staticcheck trace-demo
+.PHONY: build test check bench bench-smoke perf perf-test crash race model ingest par part fmt vet staticcheck trace-demo
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,8 @@ test:
 # two-phase-commit matrix, and the TestStressPartConcurrent2PC storm;
 # `make part` runs the same suite at soak depth. perfbench/ is a nested
 # module that `./...` does not reach, so perf-test builds and tests it
-# against this tree.
-check: fmt build vet staticcheck
+# against this tree. bench-smoke runs both experiment harnesses once.
+check: fmt build vet staticcheck bench-smoke
 	$(GO) test -shuffle=on -cover ./...
 	$(GO) test -race -count=1 ./...
 	$(MAKE) par
@@ -98,6 +98,14 @@ par:
 
 bench:
 	$(GO) run ./cmd/dmxbench
+
+# bench-smoke runs the experiment workloads (internal/rig) through both
+# harnesses at tiny sizes, so a broken workload or report fails the gate:
+# every testing.B target for one iteration, then the whole dmxbench report
+# at 1% scale.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) run ./cmd/dmxbench -scale 0.01 >/dev/null
 
 # perf runs the repo benchmark (perfbench/, declared in BENCHMARK.json):
 # one workload per run, oltp by default, e.g.

@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,38 +26,24 @@ import (
 	"time"
 
 	"dmx"
+	"dmx/internal/att/check"
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/lock"
 	"dmx/internal/plan"
 	"dmx/internal/remote"
 	"dmx/internal/rig"
-	_ "dmx/internal/sm/partsm"
-	_ "dmx/internal/sm/remotesm"
 	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
-
-	_ "dmx/internal/att/aggmv"
-	_ "dmx/internal/att/btreeix"
-	"dmx/internal/att/check"
-	_ "dmx/internal/att/hashidx"
-	_ "dmx/internal/att/joinidx"
-	_ "dmx/internal/att/refint"
-	_ "dmx/internal/att/rtreeix"
-	_ "dmx/internal/att/stats"
-	_ "dmx/internal/att/unique"
-	_ "dmx/internal/sm/appendsm"
-	_ "dmx/internal/sm/btreesm"
-	_ "dmx/internal/sm/heap"
-	_ "dmx/internal/sm/memsm"
-	_ "dmx/internal/sm/tempsm"
 )
 
 var scale = flag.Float64("scale", 1.0, "scale workload sizes")
 
-func n(base int) int { return int(float64(base) * *scale) }
+// n scales a workload size; every size is at least 1, so no experiment
+// divides by zero at small scales.
+func n(base int) int { return max(1, int(float64(base)**scale)) }
 
 // best3 runs fn three times and returns the fastest run (reduces GC and
 // scheduler noise in the scan-bound measurements).
@@ -68,6 +55,33 @@ func best3(fn func()) time.Duration {
 		}
 	}
 	return best
+}
+
+// timed runs op once and returns its wall time.
+func timed(op func() error) time.Duration {
+	var err error
+	d := rig.Time(func() { err = op() })
+	must(err)
+	return d
+}
+
+// repeat returns an operation that runs op m times.
+func repeat(m int, op func() error) func() error {
+	return func() error {
+		for i := 0; i < m; i++ {
+			if err := op(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// must panics when an experiment's operation failed.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 type experiment struct {
@@ -122,46 +136,31 @@ func main() {
 
 func e1Dispatch() []*rig.Table {
 	const iters = 5_000_000
-	reg := core.NewRegistry()
-	count := 0
-	validate := func(*types.Schema, core.AttrList) error { count++; return nil }
-	for id := core.SMID(1); id <= 6; id++ {
-		reg.RegisterStorageMethod(&core.StorageOps{ID: id, Name: fmt.Sprintf("sm%d", id), ValidateAttrs: validate})
-	}
-	byMap := map[core.SMID]*core.StorageOps{}
-	for id := core.SMID(1); id <= 6; id++ {
-		byMap[id] = reg.StorageOps(id)
-	}
-	byName := map[string]*core.StorageOps{}
-	for id := core.SMID(1); id <= 6; id++ {
-		ops := reg.StorageOps(id)
-		byName[ops.Name] = ops
-	}
-
+	d := rig.NewDispatch()
 	t := rig.NewTable("E1 — activating the extension operation for a descriptor (per call)",
 		"dispatch mechanism", "ns/op", "relative")
 	t.Note = `"vectors of routine entry points ... makes the activation of the appropriate extension quite efficient"`
 
-	direct := reg.StorageOps(2).ValidateAttrs
+	// Each loop calls its method directly, so the activation is not hidden
+	// behind one more indirect call.
 	dDirect := rig.Time(func() {
 		for i := 0; i < iters; i++ {
-			direct(nil, nil)
+			d.Direct(i)
 		}
 	})
 	dVector := rig.Time(func() {
 		for i := 0; i < iters; i++ {
-			reg.StorageOps(core.SMID(1+i%6)).ValidateAttrs(nil, nil)
+			d.Vector(i)
 		}
 	})
 	dMap := rig.Time(func() {
 		for i := 0; i < iters; i++ {
-			byMap[core.SMID(1+i%6)].ValidateAttrs(nil, nil)
+			d.ByID(i)
 		}
 	})
-	names := []string{"sm1", "sm2", "sm3", "sm4", "sm5", "sm6"}
 	dName := rig.Time(func() {
 		for i := 0; i < iters; i++ {
-			byName[names[i%6]].ValidateAttrs(nil, nil)
+			d.ByName(i)
 		}
 	})
 	rel := func(d time.Duration) float64 { return float64(d) / float64(dVector) }
@@ -169,82 +168,22 @@ func e1Dispatch() []*rig.Table {
 	t.Add("procedure vector (array index)", float64(dVector.Nanoseconds())/iters, rel(dVector))
 	t.Add("map by small-int id", float64(dMap.Nanoseconds())/iters, rel(dMap))
 	t.Add("map by extension name", float64(dName.Nanoseconds())/iters, rel(dName))
-	_ = count
 	return []*rig.Table{t}
 }
 
 // --- E2: tuple-at-a-time join call volume ---
 
 func e2Join() []*rig.Table {
-	outerN, innerN := n(2000), 10
+	outerN := n(2000)
 	t := rig.NewTable("E2 — join of two moderate relations: extension calls and time",
 		"strategy", "result rows", "extension calls", "time", "per row")
 	t.Note = `"the join of two moderate sized relations can easily result in thousands of calls to storage method and attachment routines"`
 
-	type strat struct {
-		name  string
-		prep  func(env *core.Env)
-		spec  plan.JoinSpec
-		force string // ForceJoin: keep each row on its named strategy
-	}
-	strats := []strat{
-		{"nested loop (rescan inner)", nil,
-			plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}}, "nl"},
-		// The join probes dept's field 0 (its records carry eno == dno), so
-		// the index must cover eno; on dno the probe path is unusable and
-		// the row would silently degrade to a nested loop.
-		{"index NL (B-tree probe)", func(env *core.Env) {
-			rig.MustAttach(env, "dept", "btree", core.AttrList{"on": "eno"})
-		}, plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}}, "indexnl"},
-		{"hash join (build inner)", nil,
-			plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}}, "hash"},
-		{"join index", func(env *core.Env) {
-			rig.MustAttach(env, "emp", "joinindex", core.AttrList{"name": "ed", "on": "dno", "peer": "dept"})
-			rig.MustAttach(env, "dept", "joinindex", core.AttrList{"name": "ed", "on": "dno", "peer": "emp"})
-		}, plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}, JoinIndex: "ed"}, ""},
-	}
-	for _, s := range strats {
-		env := core.NewEnv(core.Config{})
-		emp := rig.MustCreate(env, "emp", "heap", nil)
-		rig.Load(env, emp, outerN, 20)
-		dept := rig.MustCreate(env, "dept", "memory", nil)
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			for i := 0; i < innerN; i++ {
-				dept.Insert(tx, types.Record{types.Int(int64(i)), types.Int(int64(i)), types.Float(0), types.Str("d")})
-			}
-		})
-		if s.prep != nil {
-			s.prep(env)
-		}
-		p := plan.New(env)
-		spec := s.spec
-		b, err := p.Plan(plan.Query{Table: "emp", Fields: []int{0}, Join: &spec, ForceJoin: s.force})
-		if err != nil {
-			panic(err)
-		}
-		callsBefore := dispatchCalls(env)
-		rows := 0
-		d := rig.Time(func() {
-			tx := env.Begin()
-			rs, err := b.Execute(tx)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				_, ok, err := rs.Next()
-				if err != nil {
-					panic(err)
-				}
-				if !ok {
-					break
-				}
-				rows++
-			}
-			rs.Close()
-			tx.Commit()
-		})
-		calls := dispatchCalls(env) - callsBefore
-		t.Add(s.name, rows, calls, d, rig.PerOp(d, rows))
+	for s, label := range rig.JoinLabels {
+		j := rig.NewJoin(outerN, s)
+		callsBefore := dispatchCalls(j.Env)
+		d := timed(j.Run)
+		t.Add(label, j.Outer, dispatchCalls(j.Env)-callsBefore, d, rig.PerOp(d, j.Outer))
 	}
 	return []*rig.Table{t}
 }
@@ -259,54 +198,10 @@ func dispatchCalls(env *core.Env) int64 {
 // --- E3: bound plans ---
 
 func e3BoundPlans() []*rig.Table {
-	rows := n(5000)
 	execs := n(2000)
-	env := core.NewEnv(core.Config{})
-	emp := rig.MustCreate(env, "emp", "memory", nil)
-	rig.Load(env, emp, rows, 20)
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "byeno", "on": "eno", "unique": "true"})
-
-	q := plan.Query{Table: "emp", Fields: []int{2},
-		Filter: expr.Eq(expr.Field(0), expr.Const(types.Int(123)))}
-	p := plan.New(env)
-
-	runPlan := func(b *plan.Bound) {
-		tx := env.Begin()
-		rs, err := b.Execute(tx)
-		if err != nil {
-			panic(err)
-		}
-		for {
-			_, ok, err := rs.Next()
-			if err != nil {
-				panic(err)
-			}
-			if !ok {
-				break
-			}
-		}
-		rs.Close()
-		tx.Commit()
-	}
-
-	bound, err := p.Plan(q)
-	if err != nil {
-		panic(err)
-	}
-	dBound := rig.Time(func() {
-		for i := 0; i < execs; i++ {
-			runPlan(bound)
-		}
-	})
-	dReplan := rig.Time(func() {
-		for i := 0; i < execs; i++ {
-			b, err := p.Plan(q)
-			if err != nil {
-				panic(err)
-			}
-			runPlan(b)
-		}
-	})
+	w := rig.NewBoundPlans(n(5000))
+	dBound := timed(repeat(execs, w.Reused))
+	dReplan := timed(repeat(execs, w.Replanned))
 
 	t := rig.NewTable("E3 — executing a saved plan vs re-translating per execution",
 		"mode", "executions", "total", "per execution", "relative")
@@ -316,15 +211,15 @@ func e3BoundPlans() []*rig.Table {
 		float64(dReplan)/float64(dBound))
 
 	// Invalidation: dropping the index forces exactly one re-translation.
-	rig.WithTxn(env, func(tx *txn.Txn) {
-		if _, err := env.DropAttachment(tx, "emp", "btree", core.AttrList{"name": "byeno"}); err != nil {
+	rig.WithTxn(w.Env, func(tx *txn.Txn) {
+		if _, err := w.Env.DropAttachment(tx, "emp", "btree", core.AttrList{"name": "byeno"}); err != nil {
 			panic(err)
 		}
 	})
-	runPlan(bound)
+	must(w.Reused())
 	t2 := rig.NewTable("E3b — automatic re-translation after DDL invalidates the plan",
 		"event", "re-translations", "new plan")
-	t2.Add("DROP INDEX then next execution", bound.Replans, bound.Explain())
+	t2.Add("DROP INDEX then next execution", w.Bound.Replans, w.Bound.Explain())
 	return []*rig.Table{t, t2}
 }
 
@@ -332,67 +227,23 @@ func e3BoundPlans() []*rig.Table {
 
 func e4Filter() []*rig.Table {
 	rows := n(30000)
-	env := core.NewEnv(core.Config{PoolFrames: 64})
-	emp := rig.MustCreate(env, "emp", "heap", nil)
-	rig.Load(env, emp, rows, 100)
-
+	w := rig.NewFilter(rows)
 	t := rig.NewTable("E4 — predicate evaluated in the buffer pool vs after copy-out",
 		"selectivity", "matches", "pushdown", "copy-then-filter", "speedup")
 	t.Note = `"allow filter predicates to be evaluated while the field values from the relation storage or access path are still in the buffer pool"`
 
 	for _, sel := range []struct {
 		label string
-		limit int64
+		limit int
 	}{
-		{"0.1%", int64(rows / 1000)},
-		{"1%", int64(rows / 100)},
-		{"10%", int64(rows / 10)},
-		{"100%", int64(rows)},
+		{"0.1%", rows / 1000},
+		{"1%", rows / 100},
+		{"10%", rows / 10},
+		{"100%", rows},
 	} {
-		filter := expr.Lt(expr.Field(0), expr.Const(types.Int(sel.limit)))
-		matches := 0
-		dPush := best3(func() {
-			tx := env.Begin()
-			scan, err := emp.OpenScan(tx, core.ScanOptions{Filter: filter, Fields: []int{0}})
-			if err != nil {
-				panic(err)
-			}
-			matches = rig.Drain(scan)
-			tx.Commit()
-		})
-		ev := env.Eval
-		matches2 := 0
-		dCopy := best3(func() {
-			matches2 = 0
-			tx := env.Begin()
-			scan, err := emp.OpenScan(tx, core.ScanOptions{})
-			if err != nil {
-				panic(err)
-			}
-			for {
-				_, rec, ok, err := scan.Next()
-				if err != nil {
-					panic(err)
-				}
-				if !ok {
-					break
-				}
-				// The "application" filters after every record has been
-				// copied out of the storage method.
-				keep, err := ev.EvalBool(filter, rec, nil)
-				if err != nil {
-					panic(err)
-				}
-				if keep {
-					matches2++
-				}
-			}
-			tx.Commit()
-		})
-		if matches != matches2 {
-			panic(fmt.Sprintf("pushdown disagreement: %d vs %d", matches, matches2))
-		}
-		t.Add(sel.label, matches, dPush, dCopy, float64(dCopy)/float64(dPush))
+		dPush := best3(func() { must(w.Pushdown(sel.limit)) })
+		dCopy := best3(func() { must(w.CopyThenFilter(sel.limit)) })
+		t.Add(sel.label, sel.limit, dPush, dCopy, float64(dCopy)/float64(dPush))
 	}
 	return []*rig.Table{t}
 }
@@ -401,62 +252,20 @@ func e4Filter() []*rig.Table {
 
 func e5Attachments() []*rig.Table {
 	inserts := n(5000)
-	check.RegisterPredicate("e5pos", expr.Ge(expr.Field(0), expr.Const(types.Int(0))))
-	steps := []struct {
-		label string
-		att   string
-		attrs core.AttrList
-	}{
-		{"+ btree index (dno)", "btree", core.AttrList{"name": "i1", "on": "dno"}},
-		{"+ btree index (salary)", "btree", core.AttrList{"name": "i2", "on": "salary"}},
-		{"+ hash index (eno)", "hash", core.AttrList{"name": "h1", "on": "eno"}},
-		{"+ unique (eno)", "unique", core.AttrList{"name": "u1", "on": "eno"}},
-		{"+ check constraint", "check", core.AttrList{"name": "c1", "predicate": "e5pos"}},
-		{"+ stats", "stats", nil},
-		{"+ aggregate (salary by dno)", "aggregate", core.AttrList{"name": "a1", "group": "dno", "value": "salary"}},
-	}
-
 	t := rig.NewTable("E5 — insert cost as attachments accumulate",
 		"configuration", "attachment types", "per insert", "attached calls/insert")
 	t.Note = "attachment updates are performed implicitly as side effects of relation modification"
 
-	env := core.NewEnv(core.Config{})
-	emp := rig.MustCreate(env, "emp", "memory", nil)
-	measure := func(label string, natt int) {
-		callsBefore := env.MetricsSnapshot().Totals.AttCalls
-		d := rig.Time(func() { rig.Load(env, emp, inserts, 20) })
-		calls := env.MetricsSnapshot().Totals.AttCalls - callsBefore
-		t.Add(label, natt, rig.PerOp(d, inserts), float64(calls)/float64(inserts))
-		// Reset contents between measurements.
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			scan, err := emp.OpenScan(tx, core.ScanOptions{Fields: []int{}})
-			if err != nil {
-				panic(err)
-			}
-			var keys []types.Key
-			for {
-				k, _, ok, err := scan.Next()
-				if err != nil {
-					panic(err)
-				}
-				if !ok {
-					break
-				}
-				keys = append(keys, k)
-			}
-			scan.Close()
-			for _, k := range keys {
-				if err := emp.Delete(tx, k); err != nil {
-					panic(err)
-				}
-			}
-		})
-	}
-	measure("bare relation", 0)
-	for i, s := range steps {
-		rig.MustAttach(env, "emp", s.att, s.attrs)
-		emp, _ = env.OpenRelationByName("emp") // refresh descriptor
-		measure(s.label, i+1)
+	for k := 0; k <= len(rig.AttachmentSteps); k++ {
+		label := "bare relation"
+		if k > 0 {
+			label = rig.AttachmentSteps[k-1].Label
+		}
+		w := rig.NewAttachmentCost(k)
+		callsBefore := w.Env.MetricsSnapshot().Totals.AttCalls
+		d := timed(func() error { return w.InsertBatch(inserts) })
+		calls := w.Env.MetricsSnapshot().Totals.AttCalls - callsBefore
+		t.Add(label, k, rig.PerOp(d, inserts), float64(calls)/float64(inserts))
 	}
 	return []*rig.Table{t}
 }
@@ -464,120 +273,18 @@ func e5Attachments() []*rig.Table {
 // --- E6: access path selection ---
 
 func e6AccessPaths() []*rig.Table {
-	rows := n(50000)
-	env := core.NewEnv(core.Config{PoolFrames: 2048})
-	emp := rig.MustCreate(env, "emp", "heap", nil)
-	rig.Load(env, emp, rows, 40)
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "byeno", "on": "eno", "unique": "true"})
-	rig.MustAttach(env, "emp", "hash", core.AttrList{"name": "bydno", "on": "dno"})
-
-	p := plan.New(env)
 	t := rig.NewTable("E6 — planner choice vs forced storage-method scan",
 		"query", "chosen plan", "chosen", "scan", "speedup")
 	t.Note = `"a B-tree access path will return a low cost if there is a predicate on the key of the B-tree ... the R-tree access path will recognize the ENCLOSES predicate"`
 
-	cases := []struct {
-		label  string
-		filter *expr.Expr
-	}{
-		{"point: eno = K", expr.Eq(expr.Field(0), expr.Const(types.Int(int64(rows/2))))},
-		{"range: eno < N/100", expr.Lt(expr.Field(0), expr.Const(types.Int(int64(rows/100))))},
-		{"equality: dno = 3 (10%)", expr.Eq(expr.Field(1), expr.Const(types.Int(3)))},
-		{"non-indexed: salary > N-10", expr.Gt(expr.Field(2), expr.Const(types.Float(float64(rows-10))))},
+	measure := func(label string, q *rig.AccessPath) {
+		dChosen, dScan := timed(q.Chosen), timed(q.Scan)
+		t.Add(label, q.Plan.Explain(), dChosen, dScan, float64(dScan)/float64(dChosen))
 	}
-	for _, c := range cases {
-		b, err := p.Plan(plan.Query{Table: "emp", Fields: []int{0}, Filter: c.filter})
-		if err != nil {
-			panic(err)
-		}
-		dChosen := rig.Time(func() {
-			tx := env.Begin()
-			rs, _ := b.Execute(tx)
-			for {
-				_, ok, err := rs.Next()
-				if err != nil {
-					panic(err)
-				}
-				if !ok {
-					break
-				}
-			}
-			rs.Close()
-			tx.Commit()
-		})
-		dScan := rig.Time(func() {
-			tx := env.Begin()
-			scan, err := emp.OpenScan(tx, core.ScanOptions{Filter: c.filter, Fields: []int{0}})
-			if err != nil {
-				panic(err)
-			}
-			rig.Drain(scan)
-			tx.Commit()
-		})
-		t.Add(c.label, b.Explain(), dChosen, dScan, float64(dScan)/float64(dChosen))
+	for i, q := range rig.NewAccessPaths(n(50000)) {
+		measure(rig.AccessPathLabels[i], q)
 	}
-
-	// Spatial: R-tree vs scan on a parcels table.
-	spatialRows := n(20000)
-	senv := core.NewEnv(core.Config{})
-	s := types.MustSchema(
-		types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
-		types.Column{Name: "shape", Kind: types.KindBytes},
-	)
-	rig.WithTxn(senv, func(tx *txn.Txn) {
-		if _, err := senv.CreateRelation(tx, "parcels", s, "memory", nil); err != nil {
-			panic(err)
-		}
-	})
-	parcels, _ := senv.OpenRelationByName("parcels")
-	side := 1
-	for side*side < spatialRows {
-		side++
-	}
-	rig.WithTxn(senv, func(tx *txn.Txn) {
-		for i := 0; i < spatialRows; i++ {
-			x, y := float64(i%side)*10, float64(i/side)*10
-			if _, err := parcels.Insert(tx, types.Record{
-				types.Int(int64(i)), expr.NewBox(x, y, x+2, y+2).Value(),
-			}); err != nil {
-				panic(err)
-			}
-		}
-	})
-	rig.MustAttach(senv, "parcels", "rtree", core.AttrList{"on": "shape"})
-	query := expr.NewBox(0, 0, float64(side)/10, float64(side)/10)
-	spFilter := expr.Encloses(expr.Const(query.Value()), expr.Field(1))
-	sp := plan.New(senv)
-	b, err := sp.Plan(plan.Query{Table: "parcels", Fields: []int{0}, Filter: spFilter})
-	if err != nil {
-		panic(err)
-	}
-	dChosen := rig.Time(func() {
-		tx := senv.Begin()
-		rs, _ := b.Execute(tx)
-		for {
-			_, ok, err := rs.Next()
-			if err != nil {
-				panic(err)
-			}
-			if !ok {
-				break
-			}
-		}
-		rs.Close()
-		tx.Commit()
-	})
-	parcels, _ = senv.OpenRelationByName("parcels")
-	dScan := rig.Time(func() {
-		tx := senv.Begin()
-		scan, err := parcels.OpenScan(tx, core.ScanOptions{Filter: spFilter, Fields: []int{0}})
-		if err != nil {
-			panic(err)
-		}
-		rig.Drain(scan)
-		tx.Commit()
-	})
-	t.Add("spatial: ENCLOSES window", b.Explain(), dChosen, dScan, float64(dScan)/float64(dChosen))
+	measure("spatial: ENCLOSES window", rig.NewSpatial(n(20000)))
 	return []*rig.Table{t}
 }
 
@@ -591,60 +298,38 @@ func e7StorageMethods() []*rig.Table {
 		"storage method", "insert/op", "fetch-by-key/op", "full scan", "page I/Os", "remote msgs")
 	t.Note = "alternative implementations of the common relation abstraction (heap, B-tree, main-memory, publishing, foreign)"
 
-	type smCase struct {
-		name  string
-		sm    string
-		attrs core.AttrList
-		setup func(env *core.Env)
-	}
-	var fed *remote.Server
-	cases := []smCase{
-		{"heap", "heap", nil, nil},
-		{"btree (key=eno)", "btree", core.AttrList{"key": "eno"}, nil},
-		{"memory", "memory", nil, nil},
-		{"temp (unlogged)", "temp", nil, nil},
-		{"append (lsm)", "append", nil, nil},
-		{"remote (20µs RTT)", "remote", core.AttrList{"server": "fed"}, func(env *core.Env) {
-			fed = remote.NewServer(20 * time.Microsecond)
-			smutil.AttachServer(env, "fed", fed)
-		}},
-	}
-	for _, c := range cases {
-		env := core.NewEnv(core.Config{PoolFrames: 1024})
-		if c.setup != nil {
-			c.setup(env)
-		}
-		rel := rig.MustCreate(env, "t", c.sm, c.attrs)
-		remoteRows := rows
-		if c.sm == "remote" {
-			remoteRows = rows / 10 // round trips make full size tedious
+	for _, c := range rig.StorageMethods {
+		w := rig.NewStorageMethod(c.SM)
+		inserts := rows
+		if w.Server != nil {
+			inserts = max(1, rows/10) // round trips make full size tedious
 		}
 		var keys []types.Key
-		dInsert := rig.Time(func() { keys = rig.Load(env, rel, remoteRows, 40) })
-		dFetch := rig.Time(func() {
-			tx := env.Begin()
+		dInsert := timed(func() error {
+			for i := 0; i < inserts; i++ {
+				k, err := w.Insert()
+				if err != nil {
+					return err
+				}
+				keys = append(keys, k)
+			}
+			return w.Commit()
+		})
+		dFetch := timed(func() error {
 			for i := 0; i < fetches; i++ {
-				if _, err := rel.Fetch(tx, keys[i%len(keys)], []int{0}, nil); err != nil {
-					panic(err)
+				if _, err := w.Rel.Fetch(w.Tx(), keys[i%len(keys)], []int{0}, nil); err != nil {
+					return err
 				}
 			}
-			tx.Commit()
+			return w.Commit()
 		})
-		dScan := rig.Time(func() {
-			tx := env.Begin()
-			scan, err := rel.OpenScan(tx, core.ScanOptions{Fields: []int{0}})
-			if err != nil {
-				panic(err)
-			}
-			rig.Drain(scan)
-			tx.Commit()
-		})
-		ios := env.Pool.Disk().Stats()
+		dScan := timed(w.ScanAll)
+		ios := w.Env.Pool.Disk().Stats()
 		msgs := int64(0)
-		if fed != nil && c.sm == "remote" {
-			msgs = fed.Messages.Load()
+		if w.Server != nil {
+			msgs = w.Server.Messages.Load()
 		}
-		t.Add(c.name, rig.PerOp(dInsert, remoteRows), rig.PerOp(dFetch, fetches), dScan,
+		t.Add(c.Label, rig.PerOp(dInsert, inserts), rig.PerOp(dFetch, fetches), dScan,
 			ios.Reads+ios.Writes, msgs)
 	}
 	return []*rig.Table{t}
@@ -763,37 +448,14 @@ func ingestLSM() []*rig.Table {
 // --- E8: veto and partial rollback ---
 
 func e8VetoRollback() []*rig.Table {
-	check.RegisterPredicate("e8pos", expr.Ge(expr.Field(0), expr.Const(types.Int(0))))
-	env := core.NewEnv(core.Config{})
-	rig.MustCreate(env, "emp", "memory", nil)
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "i1", "on": "dno"})
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "i2", "on": "salary"})
-	rig.MustAttach(env, "emp", "stats", nil)
-	// The check constraint has the highest attachment id among these, so a
-	// veto fires after the storage method and both indexes applied.
-	rig.MustAttach(env, "emp", "check", core.AttrList{"name": "pos", "predicate": "e8pos"})
-	emp, _ := env.OpenRelationByName("emp")
-
+	w := rig.NewVeto()
 	batch := n(2000)
-	good := rig.Time(func() {
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			for i := 0; i < batch; i++ {
-				if _, err := emp.Insert(tx, rig.EmpRecord(i, 20)); err != nil {
-					panic(err)
-				}
-			}
-		})
-	})
-	vetoed := rig.Time(func() {
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			for i := 0; i < batch; i++ {
-				rec := rig.EmpRecord(i+batch, 20)
-				rec[0] = types.Int(-1) // violates the constraint
-				if _, err := emp.Insert(tx, rec); err == nil {
-					panic("bad insert accepted")
-				}
-			}
-		})
+	good := timed(func() error { return w.InsertBatch(batch) })
+	vetoed := timed(func() error {
+		if err := repeat(batch, w.InsertVetoed)(); err != nil {
+			return err
+		}
+		return w.Commit()
 	})
 	t := rig.NewTable("E8 — cost of a vetoed modification (storage + 3 attachments undone by the log)",
 		"outcome", "per modification", "relative")
@@ -806,21 +468,9 @@ func e8VetoRollback() []*rig.Table {
 		"records undone", "rollback time", "per record")
 	for _, m := range []int{10, 100, 1000, 10000} {
 		m := n(m)
-		tx := env.Begin()
-		if _, err := tx.Savepoint("sp"); err != nil {
-			panic(err)
-		}
-		for i := 0; i < m; i++ {
-			if _, err := emp.Insert(tx, rig.EmpRecord(1_000_000+i, 20)); err != nil {
-				panic(err)
-			}
-		}
-		d := rig.Time(func() {
-			if err := tx.RollbackTo("sp"); err != nil {
-				panic(err)
-			}
-		})
-		tx.Commit()
+		must(w.SavepointInserts(m))
+		d := timed(w.RollbackSavepoint)
+		must(w.Commit())
 		t2.Add(m, d, rig.PerOp(d, m))
 	}
 	return []*rig.Table{t, t2}
@@ -829,36 +479,16 @@ func e8VetoRollback() []*rig.Table {
 // --- E9: deferred constraint checking ---
 
 func e9Deferred() []*rig.Table {
-	parents, children := 200, n(5000)
+	children := n(5000)
 	t := rig.NewTable("E9 — immediate vs deferred referential checking (batch insert)",
 		"timing", "children", "checks run", "total", "per child")
 	t.Note = `"certain integrity constraints cannot be evaluated when a single modification occurs but must be evaluated after all of the modifications have been made"`
 
 	for _, timing := range []string{"immediate", "deferred"} {
-		env := core.NewEnv(core.Config{})
-		dept := rig.MustCreate(env, "dept", "memory", nil)
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			for i := 0; i < parents; i++ {
-				dept.Insert(tx, rig.EmpRecord(i, 4))
-			}
-		})
-		rig.MustCreate(env, "emp", "memory", nil)
-		rig.MustAttach(env, "emp", "refint", core.AttrList{
-			"name": "fk", "role": "child", "on": "dno",
-			"peer": "dept", "peerkey": "dno", "timing": timing,
-		})
-		emp, _ := env.OpenRelationByName("emp")
-		scansBefore := env.MetricsSnapshot().Totals.Scans
-		d := rig.Time(func() {
-			rig.WithTxn(env, func(tx *txn.Txn) {
-				for i := 0; i < children; i++ {
-					if _, err := emp.Insert(tx, rig.EmpRecord(i, 4)); err != nil {
-						panic(err)
-					}
-				}
-			})
-		})
-		checks := env.MetricsSnapshot().Totals.Scans - scansBefore
+		w := rig.NewDeferred(timing)
+		scansBefore := w.Env.MetricsSnapshot().Totals.Scans
+		d := timed(func() error { return w.InsertBatch(children) })
+		checks := w.Env.MetricsSnapshot().Totals.Scans - scansBefore
 		t.Add(timing, children, checks, d, rig.PerOp(d, children))
 	}
 	return []*rig.Table{t}
@@ -867,58 +497,15 @@ func e9Deferred() []*rig.Table {
 // --- E10: cascading deletes ---
 
 func e10Cascade() []*rig.Table {
-	const fanout = 4
 	t := rig.NewTable("E10 — cascading delete down a referential chain (fanout 4)",
 		"depth", "records deleted", "time", "per record")
 	t.Note = `"attachments may access or modify other data in the database ... in this manner, modifications may cascade"`
 
 	for depth := 1; depth <= 6; depth++ {
-		env := core.NewEnv(core.Config{})
-		// Relations r0 (root) .. r<depth>, each cascading into the next.
-		for level := 0; level <= depth; level++ {
-			rig.MustCreate(env, fmt.Sprintf("r%d", level), "memory", nil)
-		}
-		for level := 0; level < depth; level++ {
-			rig.MustAttach(env, fmt.Sprintf("r%d", level), "refint", core.AttrList{
-				"name": "cascade", "role": "parent", "on": "eno",
-				"peer": fmt.Sprintf("r%d", level+1), "peerkey": "dno", "action": "cascade",
-			})
-		}
-		// Populate: level L has fanout^L records; record i at level L has
-		// parent i/fanout at level L-1 (via dno).
-		var rootKey types.Key
-		total := 0
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			count := 1
-			for level := 0; level <= depth; level++ {
-				rel, _ := env.OpenRelationByName(fmt.Sprintf("r%d", level))
-				for i := 0; i < count; i++ {
-					rec := types.Record{
-						types.Int(int64(i)), types.Int(int64(i / fanout)),
-						types.Float(0), types.Str(""),
-					}
-					k, err := rel.Insert(tx, rec)
-					if err != nil {
-						panic(err)
-					}
-					if level == 0 {
-						rootKey = k
-					}
-				}
-				total += count
-				count *= fanout
-			}
-		})
-		root, _ := env.OpenRelationByName("r0")
-		var d time.Duration
-		rig.WithTxn(env, func(tx *txn.Txn) {
-			d = rig.Time(func() {
-				if err := root.Delete(tx, rootKey); err != nil {
-					panic(err)
-				}
-			})
-		})
-		t.Add(depth, total, d, rig.PerOp(d, total))
+		c := rig.NewCascade(depth)
+		d := timed(c.Delete)
+		must(c.Commit())
+		t.Add(depth, c.Records, d, rig.PerOp(d, c.Records))
 	}
 	return []*rig.Table{t}
 }
@@ -930,22 +517,10 @@ func e11Descriptor() []*rig.Table {
 		"attachment types present", "encoded bytes", "decode ns/op")
 	t.Note = `"this method ... effectively limits the number of different attachment types to a few dozen without beginning to incur significant storage overhead" (absent types cost two bytes each here)`
 
-	base := &core.RelDesc{RelID: 7, Name: "emp", Schema: rig.EmpSchema(), SM: core.SMHeap,
-		SMDesc: []byte{1, 2, 3, 4}}
 	for present := 0; present <= 10; present += 2 {
-		rd := base.Clone()
-		for i := 0; i < present; i++ {
-			rd.AttDesc[core.AttID(i+1)] = []byte(strings.Repeat("d", 24))
-		}
-		enc := rd.AppendEncode(nil)
+		enc := rig.NewDescriptor(present)
 		const iters = 200000
-		d := rig.Time(func() {
-			for i := 0; i < iters; i++ {
-				if _, _, err := core.DecodeRelDesc(enc); err != nil {
-					panic(err)
-				}
-			}
-		})
+		d := timed(repeat(iters, func() error { return rig.DecodeDescriptor(enc) }))
 		t.Add(present, len(enc), float64(d.Nanoseconds())/iters)
 	}
 	return []*rig.Table{t}
@@ -954,62 +529,69 @@ func e11Descriptor() []*rig.Table {
 // --- E12: locking ---
 
 func e12Locking() []*rig.Table {
-	perTxn := 4
 	txns := n(2000)
 	t := rig.NewTable("E12 — lock manager throughput (X locks, 4 per txn)",
 		"goroutines", "transactions", "total", "txn/s")
 	t.Note = "all storage method and attachment implementations share the locking-based concurrency controller"
 
 	for _, g := range []int{1, 2, 4, 8} {
-		mgr := lock.NewManager()
-		nextID := int64(0)
-		d := rig.Time(func() {
-			done := make(chan struct{}, g)
+		l := rig.NewLocking()
+		d := timed(func() error {
+			errs := make(chan error, g)
 			for w := 0; w < g; w++ {
-				go func(w int) {
-					defer func() { done <- struct{}{} }()
-					for i := 0; i < txns/g; i++ {
-						id := wal.TxnID(w*1_000_000 + i + 1)
-						for k := 0; k < perTxn; k++ {
-							res := lock.KeyResource(1, []byte{byte(w), byte(i), byte(k)})
-							if err := mgr.Acquire(id, res, lock.ModeX); err != nil {
-								panic(err)
-							}
-						}
-						mgr.ReleaseAll(id)
+				go func() {
+					var err error
+					for i := 0; i < txns/g && err == nil; i++ {
+						err = l.Txn(w, i)
 					}
-				}(w)
+					errs <- err
+				}()
 			}
+			var err error
 			for w := 0; w < g; w++ {
-				<-done
+				err = errors.Join(err, <-errs)
 			}
+			return err
 		})
-		_ = nextID
 		total := (txns / g) * g
 		t.Add(g, total, d, fmt.Sprintf("%.0f", float64(total)/d.Seconds()))
 	}
 
-	// Deadlock resolution: opposing lock orders, victims counted.
+	// Deadlock resolution: opposing lock orders, victims counted. The
+	// request that closes the cycle is the victim, usually t2's (the sleep
+	// lets t1's wait register first); either way the victim releases its
+	// locks so the other transaction completes.
 	t2 := rig.NewTable("E12b — system-wide deadlock detection", "pairs run", "deadlock victims", "completed txns")
 	pairs := 200
 	victims, completed := 0, 0
 	mgr := lock.NewManager()
+	tally := func(err error) {
+		if err == nil {
+			completed++
+		} else if errors.Is(err, lock.ErrDeadlock) {
+			victims++
+		}
+	}
 	for i := 0; i < pairs; i++ {
 		a, b := lock.RelResource(uint32(2*i)), lock.RelResource(uint32(2*i+1))
 		t1, t2id := wal.TxnID(10_000+2*i), wal.TxnID(10_000+2*i+1)
 		mgr.Acquire(t1, a, lock.ModeX)
 		mgr.Acquire(t2id, b, lock.ModeX)
 		errCh := make(chan error, 1)
-		go func() { errCh <- mgr.Acquire(t1, b, lock.ModeX) }()
+		go func() {
+			err := mgr.Acquire(t1, b, lock.ModeX)
+			if err != nil {
+				mgr.ReleaseAll(t1)
+			}
+			errCh <- err
+		}()
 		time.Sleep(50 * time.Microsecond)
 		err2 := mgr.Acquire(t2id, a, lock.ModeX)
-		if err2 == lock.ErrDeadlock {
-			victims++
+		if err2 != nil {
 			mgr.ReleaseAll(t2id)
 		}
-		if err := <-errCh; err == nil {
-			completed++
-		}
+		tally(err2)
+		tally(<-errCh)
 		mgr.ReleaseAll(t1)
 		mgr.ReleaseAll(t2id)
 	}
@@ -1569,52 +1151,25 @@ func partRouting() []*rig.Table {
 
 func a1SkipUnchanged() []*rig.Table {
 	rows := n(5000)
-	env := core.NewEnv(core.Config{})
-	emp := rig.MustCreate(env, "emp", "memory", nil)
-	keys := rig.Load(env, emp, rows, 20)
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "i1", "on": "dno"})
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "i2", "on": "eno"})
-	emp, _ = env.OpenRelationByName("emp")
-
+	w := rig.NewUpdates(rows)
 	t := rig.NewTable("A1 — update cost with and without indexed-field changes (2 B-tree instances)",
 		"update touches", "per update", "attachment log records/update")
 	t.Note = `"the B-tree update operations should be able to detect when no indexed fields for a given index are modified"`
 
-	measure := func(label string, mutate func(i int, rec types.Record)) {
-		logBefore := env.Log.Len()
-		d := rig.Time(func() {
-			rig.WithTxn(env, func(tx *txn.Txn) {
-				for i, k := range keys {
-					rec := rig.EmpRecord(i, 20)
-					mutate(i, rec)
-					nk, err := emp.Update(tx, k, rec)
-					if err != nil {
-						panic(err)
-					}
-					keys[i] = nk
-				}
-			})
-		})
-		attRecords := 0
-		for _, lr := range env.Log.Records()[logBefore:] {
-			if lr.Kind == wal.RecUpdate && lr.Owner.Class == wal.OwnerAttachment {
-				attRecords++
+	for indexed, label := range []string{
+		"only the non-indexed pad (skip fires)",
+		"one indexed field (1 of 2 maintained)",
+		"both indexed fields (2 of 2 maintained)",
+	} {
+		logBefore := w.Env.Log.Len()
+		d := timed(func() error {
+			if err := repeat(rows, func() error { return w.Update(indexed) })(); err != nil {
+				return err
 			}
-		}
-		t.Add(label, rig.PerOp(d, rows), float64(attRecords)/float64(rows))
+			return w.Commit()
+		})
+		t.Add(label, rig.PerOp(d, rows), float64(rig.AttachmentUpdates(w.Env, logBefore))/float64(rows))
 	}
-	measure("only the non-indexed pad (skip fires)", func(i int, rec types.Record) {
-		rec[3] = types.Str("changed-pad")
-	})
-	measure("one indexed field (1 of 2 maintained)", func(i int, rec types.Record) {
-		rec[1] = types.Int(int64((i + 1) % 10))
-		rec[3] = types.Str("changed-pad")
-	})
-	measure("both indexed fields (2 of 2 maintained)", func(i int, rec types.Record) {
-		rec[0] = types.Int(int64(i + 1_000_000))
-		rec[1] = types.Int(int64((i + 3) % 10))
-		rec[3] = types.Str("changed-pad")
-	})
 	return []*rig.Table{t}
 }
 
@@ -1627,25 +1182,10 @@ func a2RemoteBatch() []*rig.Table {
 	t.Note = "tuple-at-a-time access to remote data amplifies round trips; the remote storage method batches key-sequential accesses"
 
 	for _, batch := range []int{1, 10, 100, 1000} {
-		env := core.NewEnv(core.Config{})
-		fed := remote.NewServer(20 * time.Microsecond)
-		smutil.AttachServer(env, "fed", fed)
-		rel := rig.MustCreate(env, "t", "remote",
-			core.AttrList{"server": "fed", "batch": fmt.Sprint(batch)})
-		rig.Load(env, rel, rows, 20)
-		before := fed.Messages.Load()
-		d := rig.Time(func() {
-			tx := env.Begin()
-			scan, err := rel.OpenScan(tx, core.ScanOptions{Fields: []int{0}})
-			if err != nil {
-				panic(err)
-			}
-			if got := rig.Drain(scan); got != rows {
-				panic(fmt.Sprintf("scanned %d", got))
-			}
-			tx.Commit()
-		})
-		t.Add(batch, fed.Messages.Load()-before, d, rig.PerOp(d, rows))
+		w := rig.NewRemoteScan(rows, batch)
+		before := w.Server.Messages.Load()
+		d := timed(w.ScanAll)
+		t.Add(batch, w.Server.Messages.Load()-before, d, rig.PerOp(d, rows))
 	}
 	return []*rig.Table{t}
 }
